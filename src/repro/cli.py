@@ -380,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--seed", type=int, default=2)
     pa.add_argument(
         "--transport", choices=("thread", "process", "shm"), default=None,
-        help="rank backend: threads (default), one OS process per rank "
-             "over socketpairs, or shm (process ranks exchanging frames "
-             "through shared-memory rings; also via REPRO_TRANSPORT)",
+        help="rank backend: threads (default) or shm (one OS process per "
+             "rank, exchanging frames through shared-memory rings); "
+             "process is an alias of shm; also via REPRO_TRANSPORT",
     )
     from repro.partition.registry import available_partitioners
 

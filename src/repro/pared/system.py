@@ -134,12 +134,12 @@ class ParedConfig:
         default) a crash surfaces as a clean
         :class:`~repro.runtime.faults.SimRankCrashed`, exactly as before.
     transport:
-        Wire backend for the ranks: ``"thread"`` (default), ``"process"``
-        (one OS process per rank over sockets — real multi-core
-        wall-clock), ``"shm"`` (process ranks exchanging data frames
-        through shared-memory rings with a persistent rank pool — the
-        low-copy fast path, see :mod:`repro.runtime.shm`), or ``None``
-        to defer to the ``REPRO_TRANSPORT`` environment variable.
+        Wire backend for the ranks: ``"thread"`` (default), ``"shm"``
+        (one OS process per rank from a persistent rank pool, exchanging
+        data frames through shared-memory rings — real multi-core
+        wall-clock, see :mod:`repro.runtime.shm`; ``"process"`` is an
+        alias), or ``None`` to defer to the ``REPRO_TRANSPORT``
+        environment variable.
         ``faults``/``recover`` require the thread backend (see
         :func:`~repro.runtime.transport.resolve_backend`).
     partitioner:

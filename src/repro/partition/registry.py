@@ -1,4 +1,5 @@
-"""Named repartitioner registry: ``pnr`` / ``mlkl`` / ``sfc`` / ``dkl``.
+"""Named repartitioner registry: ``pnr`` / ``mlkl`` / ``sfc`` / ``dkl`` /
+``dkl-ml``.
 
 The PARED drivers (:mod:`repro.pared.system`, :mod:`repro.pared.workflow`)
 and the CLI select the coordinator's repartitioning strategy by name.  A
@@ -42,18 +43,15 @@ Strategies
     intra-part heavy-edge matching, the same tournament runs on the coarse
     view (moving whole clusters per accepted move), and the result is
     projected and re-refined at the fine level — the standard multilevel
-    fix for the residual cut gap on heavy-imbalance starts.
+    fix for the residual cut gap on heavy-imbalance starts.  One strategy
+    class serves both names; ``ml_levels`` (0 or 1) tells them apart.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.partition.distributed import (
-    DKLConfig,
-    dkl_ml_refine_serial,
-    dkl_refine_serial,
-)
+from repro.partition.distributed import DKLConfig, dkl_ml_refine_serial
 from repro.partition.multilevel import multilevel_partition
 from repro.partition.permute import (
     apply_permutation,
@@ -69,7 +67,6 @@ __all__ = [
     "MLKLRepartitioner",
     "SFCRepartitioner",
     "DKLRepartitioner",
-    "DKLMLRepartitioner",
 ]
 
 
@@ -173,35 +170,14 @@ class DKLRepartitioner:
     propose/resolve/rebalance tournament of
     :mod:`repro.partition.distributed` from a single thread — bit-identical
     to the SPMD neighbor-exchange path the PARED system runs.
+    ``ml_levels`` bounds the multilevel V-cycle around the tournament
+    (coarsen each part by intra-part heavy-edge matching, refine coarse,
+    project, re-refine): ``0`` is flat ``dkl``, ``1`` is ``dkl-ml``.
     """
-
-    name = "dkl"
-
-    def __init__(self, alpha=0.1, beta=0.8, seed=0, balance_tol=0.02):
-        self.cfg = DKLConfig(
-            alpha=alpha, beta=beta, seed=seed, balance_tol=balance_tol
-        )
-
-    def initial(self, graph, p, coords=None):
-        return multilevel_partition(graph, p, seed=self.cfg.seed)
-
-    def repartition(self, graph, p, current, coords=None):
-        return dkl_refine_serial(graph, p, current, self.cfg)
-
-
-class DKLMLRepartitioner:
-    """Multilevel distributed refinement, serial reference engine.
-
-    Same bootstrap as ``dkl`` (the golden metrics pin the pnr-identical
-    initial partition); ``repartition`` coarsens each part by intra-part
-    heavy-edge matching, refines at the coarse level, projects, and
-    re-refines — bit-identical to the SPMD path the PARED system runs.
-    """
-
-    name = "dkl-ml"
 
     def __init__(self, alpha=0.1, beta=0.8, seed=0, balance_tol=0.02,
-                 ml_levels=1):
+                 ml_levels=0):
+        self.name = "dkl-ml" if ml_levels else "dkl"
         self.cfg = DKLConfig(
             alpha=alpha, beta=beta, seed=seed, balance_tol=balance_tol,
             ml_levels=ml_levels,
@@ -220,7 +196,7 @@ PARTITIONERS = {
     "mlkl": MLKLRepartitioner,
     "sfc": SFCRepartitioner,
     "dkl": DKLRepartitioner,
-    "dkl-ml": DKLMLRepartitioner,
+    "dkl-ml": DKLRepartitioner,
 }
 
 
@@ -252,12 +228,9 @@ def make_repartitioner(name: str, pnr=None, curve: str = "morton",
         )
     if name == "mlkl":
         return MLKLRepartitioner(seed=seed, balance_tol=max(balance_tol, 0.03))
-    if name == "dkl":
+    if name in ("dkl", "dkl-ml"):
         return DKLRepartitioner(
-            alpha=alpha, beta=beta, seed=seed, balance_tol=balance_tol
-        )
-    if name == "dkl-ml":
-        return DKLMLRepartitioner(
-            alpha=alpha, beta=beta, seed=seed, balance_tol=balance_tol
+            alpha=alpha, beta=beta, seed=seed, balance_tol=balance_tol,
+            ml_levels=1 if name == "dkl-ml" else 0,
         )
     return SFCRepartitioner(curve=curve, bits=bits)

@@ -25,8 +25,9 @@ frame format (all integers little-endian)::
 The fallback keeps the wire total: any node the typed encoder does not
 recognise (object-dtype arrays, dataclasses, exceptions, int subclasses...)
 becomes a PICKLE leaf, so ``decode(encode(x)) == x`` for every picklable
-``x``.  A frame that does not start with :data:`MAGIC` is treated as a
-legacy whole-message pickle — useful for tests that hand-craft payloads.
+``x``.  Frames are never persisted, so there is no older format to read:
+a frame that does not start with :data:`MAGIC` raises ``ValueError``.  A
+wire frame is outside input; it is rejected, never unpickled whole.
 
 Sizes reported to :class:`~repro.runtime.stats.TrafficStats` are simply
 ``len(frame)``: the accounting rule is unchanged ("bytes put on the wire
@@ -83,7 +84,7 @@ ZERO_COPY_MIN = 1024
 
 #: first byte of every typed frame; 0x80+ cannot open a pickle protocol-2+
 #: stream (pickle starts with b'\x80' PROTO — hence 0x93, which is also not
-#: printable ASCII, so plain-pickle legacy frames are never misdetected)
+#: printable ASCII, so a plain pickle is never mistaken for a frame)
 MAGIC = 0x93
 
 _NONE = 0x00
@@ -288,9 +289,9 @@ def _decode_node(buf: bytes, pos: int):
 
 def decode(frame: bytes):
     """Inverse of :func:`encode`.  A frame not starting with :data:`MAGIC`
-    is decoded as a legacy whole-message pickle."""
+    raises ``ValueError``."""
     if not frame or frame[0] != MAGIC:
-        return pickle.loads(frame)
+        raise ValueError("not a typed frame: no codec magic byte")
     obj, pos = _decode_node(frame, 1)
     if pos != len(frame):
         raise ValueError(
@@ -385,7 +386,7 @@ def decode_view(frame, on_view=None):
     array views for payloads of at least :data:`ZERO_COPY_MIN` bytes.
 
     ``decode_view(mv)`` equals :func:`decode` ``(bytes(mv))`` value-wise for
-    every frame, including legacy plain-pickle frames; only the memory
+    every frame (and rejects the same non-frames); only the memory
     ownership of large arrays differs (views alias — and pin — the frame
     buffer instead of owning a copy).  Pass a *read-only* memoryview so
     the views come out read-only; a ``bytes`` frame simply delegates to
@@ -394,7 +395,7 @@ def decode_view(frame, on_view=None):
     if isinstance(frame, (bytes, bytearray)):
         return decode(bytes(frame))
     if len(frame) == 0 or frame[0] != MAGIC:
-        return pickle.loads(bytes(frame))
+        raise ValueError("not a typed frame: no codec magic byte")
     obj, pos = _decode_node_view(frame, 1, on_view)
     if pos != len(frame):
         raise ValueError(

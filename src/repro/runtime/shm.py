@@ -1,17 +1,19 @@
 """Shared-memory transport and persistent rank pool for SimMPI.
 
-This is the third backend behind the 4-op transport seam
-(:mod:`repro.runtime.transport`): forked rank processes like the process
-backend, but the data plane runs through **shared-memory ring buffers** —
-one single-producer/single-consumer ring per *ordered* rank pair, all
-carved out of a single :class:`multiprocessing.shared_memory.SharedMemory`
-segment.  Senders gather codec parts straight into the ring
+The forked backend behind the 4-op transport seam
+(:mod:`repro.runtime.transport`): one OS process per rank, so phases run
+on real cores with no GIL serialization.  The data plane runs through
+**shared-memory ring buffers** — one single-producer/single-consumer ring
+per *ordered* rank pair, all carved out of a single
+:class:`multiprocessing.shared_memory.SharedMemory` segment.  Senders
+gather codec parts straight into the ring
 (:func:`repro.runtime.codec.encode_parts`, no intermediate join) and
 receivers decode large arrays as zero-copy read-only views of ring memory
-(:func:`repro.runtime.codec.decode_view`).  The existing socketpair wire
-stays connected per pair and carries whatever cannot ride the ring — a
-frame bigger than half the ring, or any frame while the ring is full —
-so correctness never depends on ring capacity.
+(:func:`repro.runtime.codec.decode_view`).  A Unix socketpair per rank
+pair stays connected and carries whatever cannot ride the ring — a frame
+bigger than half the ring, or any frame while the ring is full — so
+correctness never depends on ring capacity.  The same sockets carry the
+barrier's control frames.
 
 Ring layout (all offsets byte offsets into the pair's region)::
 
@@ -46,6 +48,13 @@ that inherits the function, same transport, no pool.  Worker death
 surfaces as :class:`~repro.runtime.transport.SimRankDied` and poisons the
 pool (it is torn down and rebuilt on next use); pools shut down explicitly
 via :func:`shutdown_pools` and automatically at interpreter exit.
+
+Why sends never deadlock: sockets are non-blocking, and a sender whose
+ring is full or whose kernel socket buffer is full drains its *own*
+receive side into user-space inboxes while retrying.  In any cycle of
+blocked senders every participant is therefore also draining, so some
+peer's send always progresses — the forked wire keeps the threaded
+wire's unbounded-buffer semantics.
 """
 
 from __future__ import annotations
@@ -56,6 +65,7 @@ import pickle
 import selectors
 import socket
 import struct
+import threading
 import time
 import weakref
 from collections import deque
@@ -66,16 +76,10 @@ from repro.perf import PERF
 from repro.runtime.codec import decode_view
 from repro.runtime.envflags import env_int
 from repro.runtime.transport import (
-    _BARRIER_TAG,
-    _PARENT,
-    _POLL,
     FrameAssembler,
-    ProcessTransport,
     SimMPIAborted,
     SimRankDied,
     TransportEmpty,
-    _close_quietly,
-    finish_spmd_run,
     pack_frame,
 )
 
@@ -110,6 +114,10 @@ _I64 = struct.Struct("<q")
 #: wrap sentinel tag: "rest of the ring is dead space, continue at 0"
 _WRAP = -(2**61)
 
+#: reserved tag for barrier control frames — routed inside the transport,
+#: never surfaced to SimComm, never recorded on the traffic ledger
+_BARRIER_TAG = -(2**62)
+
 # framed control-channel tags (parent <-> worker); disjoint from user tags
 # by magnitude, and from _BARRIER_TAG which never crosses the ctrl channel
 _CTRL_JOB = -(2**62) + 11
@@ -119,6 +127,12 @@ _CTRL_RESULT = -(2**62) + 14
 
 #: how long a sender courts a full ring before spilling to the socket
 _RING_PATIENCE = 0.005
+
+#: selector key for the parent control channel
+_PARENT = -1
+
+#: idle drain slice while waiting on a barrier, a job or a release
+_POLL = 0.05
 
 
 def default_ring_bytes() -> int:
@@ -296,19 +310,39 @@ class Ring:
         self._mv.release()
 
 
-class ShmTransport(ProcessTransport):
+class ShmTransport:
     """Ring-first transport: shared-memory data plane, socketpair spill
     and control plane, run/job isolation for pooled workers.
 
-    Reuses :class:`ProcessTransport`'s select loop, frame reassembly and
-    non-blocking send discipline; overrides delivery (sequencing across
-    the two channels), the parent protocol (framed, so job dispatch and
-    job-stamped release share the channel), and the barrier (job-stamped
-    control frames).
+    ``peers`` maps each peer rank to the bidirectional Unix stream socket
+    shared with it; ``ctrl`` is the framed control channel to the parent
+    (job dispatch, abort, job-stamped release, results).  All sockets are
+    non-blocking; incoming bytes are drained opportunistically into
+    per-source inboxes so sends can always make progress (see the module
+    docstring).  Frames from the ring and the spill socket are merged back
+    into send order by their ``(job, seq)`` stamps.
     """
 
     def __init__(self, rank, size, peers, ctrl, rings_in, rings_out):
-        super().__init__(rank, size, peers, ctrl)
+        self.rank = rank
+        self.size = size
+        #: physical-channel counters (frames/bytes per channel, memcpy'd
+        #: bytes), folded into ``stats.wire`` by the worker at end of run
+        self.wire = {}
+        self._peers = dict(peers)
+        self._ctrl = ctrl
+        self._sel = selectors.DefaultSelector()
+        for r, s in self._peers.items():
+            s.setblocking(False)
+            self._sel.register(s, selectors.EVENT_READ, r)
+        ctrl.setblocking(False)
+        self._sel.register(ctrl, selectors.EVENT_READ, _PARENT)
+        self._asm = {r: FrameAssembler() for r in self._peers}
+        self._inbox = {r: deque() for r in self._peers}
+        self._inbox[rank] = deque()  # self-sends loop back locally
+        self._barrier_seen = {r: 0 for r in self._peers}
+        self._eof: set = set()
+        self._aborted = False
         self._rings_in = dict(rings_in)  # src  -> Ring (consumer role)
         self._rings_out = dict(rings_out)  # dest -> Ring (producer role)
         self._job = 0
@@ -331,7 +365,39 @@ class ShmTransport(ProcessTransport):
     # ------------------------------------------------------------------ #
 
     def _drain(self, timeout: float) -> None:
-        super()._drain(timeout)
+        """Read whatever is available on any socket (waiting at most
+        ``timeout``), then poll every inbound ring; completed messages
+        land in the per-source inboxes."""
+        for key, _ in self._sel.select(timeout):
+            src, sock = key.data, key.fileobj
+            while True:
+                try:
+                    chunk = sock.recv(1 << 16)
+                except (BlockingIOError, InterruptedError):
+                    break
+                except OSError:
+                    chunk = b""
+                if not chunk:
+                    self._sel.unregister(sock)
+                    if src == _PARENT:
+                        self._parent_gone = True
+                        self._aborted = True  # parent died: run is over
+                    else:
+                        self._eof.add(src)
+                    break
+                if src == _PARENT:
+                    self._on_parent_chunk(chunk)
+                    continue
+                for tag, payload in self._asm[src].feed(chunk):
+                    if tag == _BARRIER_TAG:
+                        self._on_barrier(src, payload)
+                    else:
+                        # a data frame on the socket is a spill:
+                        # job/seq-prefixed
+                        job, seq = _SPILL.unpack_from(payload, 0)
+                        self._sequence(
+                            src, job, seq, tag, payload[_SPILL.size :]
+                        )
         for src, ring in self._rings_in.items():
             ring.poll(self._sinks[src])
 
@@ -354,11 +420,6 @@ class ShmTransport(ProcessTransport):
         else:
             self._held[src][seq] = (tag, payload)
 
-    def _deliver(self, src, tag, payload) -> None:
-        # a data frame on the socket is a spill: job/seq-prefixed
-        job, seq = _SPILL.unpack_from(payload, 0)
-        self._sequence(src, job, seq, tag, payload[_SPILL.size :])
-
     def _on_parent_chunk(self, chunk) -> None:
         for tag, payload in self._ctrl_asm.feed(chunk):
             if tag == _CTRL_ABORT:
@@ -369,11 +430,6 @@ class ShmTransport(ProcessTransport):
                     self._released_job = job
             elif tag == _CTRL_JOB:
                 self._jobs.append(payload)
-
-    def _on_channel_eof(self, src) -> None:
-        if src == _PARENT:
-            self._parent_gone = True
-        super()._on_channel_eof(src)
 
     def _on_barrier(self, src, payload) -> None:
         job = _U64.unpack(payload)[0]
@@ -387,9 +443,6 @@ class ShmTransport(ProcessTransport):
     # ------------------------------------------------------------------ #
 
     def push(self, dest, tag, payload) -> None:
-        if tag == _BARRIER_TAG:
-            ProcessTransport.push(self, dest, tag, payload)
-            return
         self.push_parts(dest, tag, (payload,), len(payload))
 
     def push_parts(self, dest, tag, parts, total) -> None:
@@ -484,9 +537,13 @@ class ShmTransport(ProcessTransport):
             )
         raise TransportEmpty()
 
+    def aborted(self) -> bool:
+        return self._aborted
+
     def barrier(self, timeout: float) -> None:
-        """Same flat rendezvous as the process backend, with job-stamped
-        control frames so an aborted run's stragglers cannot satisfy the
+        """Flat rendezvous through rank 0 using unrecorded, job-stamped
+        control frames on the sockets (the threaded barrier records no
+        traffic either), so an aborted run's stragglers cannot satisfy the
         next pooled run's barrier."""
         if self.size == 1:
             return
@@ -496,10 +553,46 @@ class ShmTransport(ProcessTransport):
             for r in self._peers:
                 self._await_barrier_frame(r, deadline)
             for r in self._peers:
-                ProcessTransport.push(self, r, _BARRIER_TAG, stamp)
+                self._send_barrier(r, stamp)
         else:
-            ProcessTransport.push(self, 0, _BARRIER_TAG, stamp)
+            self._send_barrier(0, stamp)
             self._await_barrier_frame(0, deadline)
+
+    def _send_barrier(self, dest, stamp) -> None:
+        self._drain(0)
+        if self._aborted:
+            raise SimMPIAborted("run aborted")
+        if dest in self._eof:
+            # like the threaded wire's send-to-a-dead-rank: the frame is
+            # void; the failure surfaces through the parent's abort
+            return
+        sock = self._peers[dest]
+        data = memoryview(pack_frame(_BARRIER_TAG, stamp))
+        while data:
+            try:
+                sent = sock.send(data)
+            except (BlockingIOError, InterruptedError):
+                # receiver's buffer is full: keep draining our own inbound
+                # side so the global send graph cannot wedge
+                self._drain(0.005)
+                if self._aborted:
+                    raise SimMPIAborted("run aborted")
+                continue
+            except OSError:
+                self._eof.add(dest)
+                return
+            data = data[sent:]
+
+    def _await_barrier_frame(self, r: int, deadline: float) -> None:
+        while self._barrier_seen[r] == 0:
+            if self._aborted:
+                raise SimMPIAborted("run aborted")
+            if r in self._eof:
+                raise SimRankDied(f"rank {r} terminated during barrier")
+            if time.monotonic() >= deadline:
+                raise threading.BrokenBarrierError
+            self._drain(_POLL)
+        self._barrier_seen[r] -= 1
 
     # ------------------------------------------------------------------ #
     # pooled-run lifecycle (worker side)
@@ -561,7 +654,12 @@ class ShmTransport(ProcessTransport):
             self._drain(_POLL)
 
     def close(self) -> None:
-        super().close()
+        try:
+            self._sel.close()
+        except OSError:
+            pass
+        for sock in list(self._peers.values()) + [self._ctrl]:
+            _close_quietly(sock)
         for ring in list(self._rings_in.values()) + list(
             self._rings_out.values()
         ):
@@ -574,6 +672,13 @@ class ShmTransport(ProcessTransport):
 # ---------------------------------------------------------------------- #
 # worker process
 # ---------------------------------------------------------------------- #
+
+
+def _close_quietly(sock) -> None:
+    try:
+        sock.close()
+    except OSError:
+        pass
 
 
 def _build_rings(buf, ring_bytes, rank, size):
@@ -640,8 +745,8 @@ def _fail_job(transport, rank, job_id, exc) -> None:
     transport.wait_release()
 
 
-def _shm_worker_main(rank, size, segment, ring_bytes, pair_socks,
-                     ctrl_pairs, oneshot):
+def _rank_main(rank, size, segment, ring_bytes, pair_socks, ctrl_pairs,
+               oneshot):
     """Entry point of one pooled rank process (fork start method).
 
     ``oneshot`` is ``None`` for a pooled worker (jobs arrive pickled over
@@ -746,7 +851,7 @@ class ShmPool:
             self.ctrl_pairs.extend(socket.socketpair() for _ in range(size))
             for r in range(size):
                 p = ctx.Process(
-                    target=_shm_worker_main,
+                    target=_rank_main,
                     args=(r, size, self.segment, ring_bytes,
                           self.pair_socks, self.ctrl_pairs, oneshot),
                     name=f"simmpi-shm-rank-{r}",
@@ -876,7 +981,7 @@ class ShmPool:
             sel.close()
             if self.broken:
                 self.shutdown()
-        return finish_spmd_run(results, errors, deaths, stats, return_stats)
+        return _finish_run(results, errors, deaths, stats, return_stats)
 
     def shutdown(self, timeout: float = 5.0) -> None:
         """Tear the pool down: hang up (workers exit their job loop),
@@ -904,6 +1009,33 @@ class ShmPool:
             except (FileNotFoundError, OSError):
                 pass
             self.segment = None
+
+
+def _finish_run(results, errors, deaths, stats, return_stats):
+    """Apply the threaded ``spmd_run``'s error precedence and return shape.
+
+    SimMPIAborted and BrokenBarrierError on peers are consequences, not
+    causes.  A rank process death is the root cause and surfaces typed and
+    clean — survivors' SimRankDied views of the same death are its
+    consequences.
+    """
+    if deaths:
+        raise deaths[0]
+    secondary = (SimMPIAborted, threading.BrokenBarrierError)
+    primary = [
+        (r, e)
+        for r, e in enumerate(errors)
+        if e is not None and not isinstance(e, secondary)
+    ]
+    if primary:
+        rank, exc = primary[0]
+        raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
+    for rank, exc in enumerate(errors):
+        if exc is not None and not isinstance(exc, SimMPIAborted):
+            raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
+    if return_stats:
+        return results, stats
+    return results
 
 
 #: live pools, keyed by world size
@@ -945,11 +1077,16 @@ def shm_spmd_run(size, fn, args, kwargs, return_stats=False):
     """Run ``fn(comm, *args, **kwargs)`` on ``size`` pooled rank processes
     over the shared-memory transport.
 
-    Same contract as :func:`~repro.runtime.transport.process_spmd_run`
-    (result list, merged stats, typed errors, ``SimRankDied`` on worker
-    death — which also poisons the pool).  Picklable functions reuse the
-    persistent pool; unpicklable ones run on a one-shot fork that inherits
-    them.
+    Mirrors the threaded ``spmd_run`` contract: returns the per-rank
+    result list (plus the merged
+    :class:`~repro.runtime.stats.TrafficStats` when
+    ``return_stats``), re-raises the first primary rank failure as
+    ``RuntimeError("rank N failed: ...")``, and re-raises a worker death
+    as :class:`~repro.runtime.transport.SimRankDied` — typed and clean,
+    never a hang — which also poisons the pool.  Per-worker perf spans are
+    merged into the parent's :data:`repro.perf.PERF`.  Picklable functions
+    reuse the persistent pool; unpicklable ones run on a one-shot fork
+    that inherits them.
     """
     ring_bytes = default_ring_bytes()
     try:

@@ -33,14 +33,14 @@ class TrafficStats:
         #: ``{span name: (calls, seconds)}``, all ranks aggregated
         self.kernel_perf = None
         #: set by spmd_run: the transport backend the run actually used
-        #: (``"thread"``/``"process"``/``"shm"``) — assert this, not the
-        #: config, when a test must know which wire it exercised
+        #: (``"thread"``/``"shm"``) — assert this, not the config, when a
+        #: test must know which wire it exercised
         self.backend = None
         # wire-level channel counters, orthogonal to the logical ledger
         # above: which physical channel each frame actually travelled
-        # (``queue_*`` on thread, ``socket_*`` on process, ``ring_*`` /
-        # ``spill_*`` on shm) plus ``copied_bytes`` — payload bytes that
-        # crossed the channel by copy rather than as a zero-copy view
+        # (``queue_*`` on thread, ``ring_*`` / ``spill_*`` on shm) plus
+        # ``copied_bytes`` — payload bytes that crossed the channel by
+        # copy rather than as a zero-copy view
         self.wire = defaultdict(int)
 
     def record(self, src: int, dst: int, nbytes: int, phase: str) -> None:
@@ -86,7 +86,7 @@ class TrafficStats:
 
     def as_dict(self) -> dict:
         """Plain-container snapshot of the counters, suitable for shipping
-        across a process boundary (the process backend sends each worker's
+        across a process boundary (the forked backend sends each worker's
         ledger to the parent this way)."""
         with self._lock:
             return {

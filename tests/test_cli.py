@@ -94,10 +94,11 @@ class TestCommands:
         assert "dkl.propose" in out and "dkl.resolve" in out
 
     def test_pared_process_transport(self, capsys):
+        """``--transport process`` is accepted as the alias of shm."""
         assert main(["pared", "--p", "2", "--n", "6", "--rounds", "1",
                      "--transport", "process"]) == 0
         out = capsys.readouterr().out
-        assert "process backend" in out
+        assert "shm backend" in out
         assert "P2:" in out
 
     def test_render(self, capsys, tmp_path):

@@ -379,7 +379,7 @@ class TestDeltaTombstones:
 
 class TestTransportParity:
     """One PARED run must be bit-identical across transport backends: the
-    algorithm is deterministic given the seed, and the process backend
+    algorithm is deterministic given the seed, and the forked shm backend
     changes only how bytes move between ranks — never what they say."""
 
     @staticmethod
@@ -416,15 +416,17 @@ class TestTransportParity:
         assert stats_t.phase_report() == stats_p.phase_report()
         assert dict(stats_t.by_pair) == dict(stats_p.by_pair)
 
-    def test_process_run_matches_thread_bit_for_bit(self):
+    def test_shm_run_matches_thread_bit_for_bit(self):
         hist_t, stats_t = run_pared(self._cfg("thread"))
-        hist_p, stats_p = run_pared(self._cfg("process"))
-        self._assert_bit_identical(hist_t, stats_t, hist_p, stats_p)
+        hist_s, stats_s = run_pared(self._cfg("shm"))
+        assert stats_s.backend == "shm"
+        self._assert_bit_identical(hist_t, stats_t, hist_s, stats_s)
 
-    def test_dkl_process_run_matches_thread_bit_for_bit(self):
+    def test_dkl_shm_run_matches_thread_bit_for_bit(self):
         """The distributed-refinement tournament must replay identically on
         both wires — including the halo exchange and proposal allgathers."""
         hist_t, stats_t = run_pared(self._cfg("thread", partitioner="dkl"))
-        hist_p, stats_p = run_pared(self._cfg("process", partitioner="dkl"))
-        self._assert_bit_identical(hist_t, stats_t, hist_p, stats_p)
+        hist_s, stats_s = run_pared(self._cfg("shm", partitioner="dkl"))
+        assert stats_s.backend == "shm"
+        self._assert_bit_identical(hist_t, stats_t, hist_s, stats_s)
         assert "dkl" in stats_t.phase_report()  # refinement actually ran

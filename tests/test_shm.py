@@ -307,7 +307,7 @@ class TestRingSpillSplit:
         assert res == [True, True]
 
     def test_wire_counters_name_the_backend_channel(self):
-        progs = {"thread": "queue", "process": "socket", "shm": "ring"}
+        progs = {"thread": "queue", "shm": "ring"}
         for backend, channel in progs.items():
             _, stats = spmd_run(
                 2, _pool_prog, transport=backend, return_stats=True

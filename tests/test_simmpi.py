@@ -1,11 +1,11 @@
 """Transport conformance suite for the simulated message-passing runtime.
 
-Every semantic case runs on *all three* backends — ``thread``
-(in-process queues), ``process`` (forked ranks over sockets) and ``shm``
-(pooled forked ranks over shared-memory rings) — through the ``backend``
-fixture, and the traffic-ledger cases assert byte-for-byte identical
-accounting across them.  A new transport earns its place by passing this
-file unchanged.
+Every semantic case runs on both backends — ``thread`` (in-process
+queues) and ``shm`` (pooled forked ranks over shared-memory rings) —
+through the ``backend`` fixture, and once more under ``process``, the
+alias that resolves to ``shm``.  The traffic-ledger cases assert
+byte-for-byte identical accounting across the backends.  A new transport
+earns its place by passing this file unchanged.
 """
 
 import os
@@ -24,15 +24,18 @@ from repro.runtime.faults import FaultPlan
 from repro.runtime.stats import PhaseTimer, TrafficStats
 from repro.runtime.transport import resolve_backend
 
-BACKENDS = ("thread", "process", "shm")
+#: the wire backends; cross-backend comparisons run over these
+BACKENDS = ("thread", "shm")
 
-#: the backends whose ranks are OS processes (can die, can pool)
-FORKED_BACKENDS = ("process", "shm")
+#: not a backend of its own: resolve_backend maps it to ``shm``.  The
+#: parametrized cases run under it too, so the alias stays wired end to end
+ALIAS = "process"
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=BACKENDS + (ALIAS,))
 def backend(request):
-    """Both transport backends; every conformance case runs on each."""
+    """Both transport backends and the alias; every conformance case runs
+    on each."""
     return request.param
 
 
@@ -110,8 +113,9 @@ class TestPointToPoint:
         assert np.array_equal(res[1], np.arange(100))
 
     def test_large_payload_exceeds_socket_buffer(self, backend):
-        """Multi-megabyte frames force partial reads (and, on the process
-        backend, blocked non-blocking sends) — reassembly must be exact."""
+        """Multi-megabyte frames overflow the ring and spill to the socket
+        (partial reads, blocked non-blocking sends on the forked backend)
+        — reassembly must be exact."""
         big = np.arange(1_000_000, dtype=np.int64)  # ~8 MB on the wire
 
         def prog(comm):
@@ -499,7 +503,7 @@ class TestErrorsAndStats:
         assert stats.total_bytes > 0
         assert stats.total_messages == 3
         # the backend that actually ran, not the one configured
-        assert stats.backend == backend
+        assert stats.backend == resolve_backend(backend)
 
     def test_needs_at_least_one_rank(self, backend):
         with pytest.raises(ValueError):
@@ -563,14 +567,14 @@ class TestLedgerConformance:
         assert stats.total_bytes == len(encode(payload))
 
 
-@pytest.fixture(params=FORKED_BACKENDS)
+@pytest.fixture(params=("shm", ALIAS))
 def forked_backend(request):
-    """The backends whose ranks are separate OS processes."""
+    """The backend whose ranks are separate OS processes (and its alias)."""
     return request.param
 
 
 class TestForkedBackendsOnly:
-    """Behaviour only the forked (process/shm) backends can exhibit."""
+    """Behaviour only the forked (shm) backend can exhibit."""
 
     def test_rank_process_death_is_clean(self, forked_backend):
         """A rank's OS process dying mid-run surfaces as a typed
@@ -662,13 +666,16 @@ class TestForkedBackendsOnly:
         assert not stragglers, [p.name for p in stragglers]
 
     def test_children_and_fds_reaped_when_setup_raises(self, monkeypatch):
-        """A failure *mid-setup* (here: the third fork refused) must not
-        leak the ranks that did start, nor their sockets: the teardown
-        path reaps children and closes every pair/ctrl FD before the
+        """A failure *mid-setup* (here: the third fork of a one-shot run
+        refused) must not leak the ranks that did start, their sockets,
+        or the shared-memory segment: the teardown path reaps children,
+        closes every pair/ctrl FD and unlinks the segment before the
         error leaves spmd_run."""
         import gc
         import multiprocessing
         from multiprocessing.context import ForkProcess
+
+        import repro.runtime.shm as shm
 
         gc.collect()
         fds_before = len(os.listdir("/proc/self/fd"))
@@ -676,21 +683,32 @@ class TestForkedBackendsOnly:
         calls = {"n": 0}
 
         def flaky_start(proc):
-            if proc.name.startswith("simmpi-rank-"):
+            if proc.name.startswith("simmpi-shm-rank-"):
                 calls["n"] += 1
                 if calls["n"] == 3:
                     raise OSError("fork refused")
             return real_start(proc)
 
+        segments = []
+        real_segment = shm.shared_memory.SharedMemory
+
+        def recording_segment(*args, **kwargs):
+            seg = real_segment(*args, **kwargs)
+            segments.append(seg.name)
+            return seg
+
         monkeypatch.setattr(ForkProcess, "start", flaky_start)
+        monkeypatch.setattr(shm.shared_memory, "SharedMemory", recording_segment)
+        # a closure cannot be pickled, so this takes the one-shot fork path
         with pytest.raises(OSError, match="fork refused"):
-            run("process", 3, lambda comm: None)
+            run("shm", 3, lambda comm: None)
         monkeypatch.undo()
+        assert calls["n"] == 3 and len(segments) == 1
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
             stragglers = [
                 p for p in multiprocessing.active_children()
-                if p.name.startswith("simmpi-rank-")
+                if p.name.startswith("simmpi-shm-rank-")
             ]
             if not stragglers:
                 break
@@ -701,18 +719,32 @@ class TestForkedBackendsOnly:
         assert fds_after <= fds_before + 2, (
             f"fd leak across failed setup: {fds_before} -> {fds_after}"
         )
+        assert not os.path.exists(f"/dev/shm/{segments[0]}"), (
+            f"segment {segments[0]} outlived the failed setup"
+        )
 
 
 class TestBackendSelection:
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRANSPORT", "process")
+        monkeypatch.setenv("REPRO_TRANSPORT", "shm")
         assert resolve_backend("thread") == "thread"
 
     def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRANSPORT", "process")
-        assert resolve_backend(None) == "process"
+        monkeypatch.setenv("REPRO_TRANSPORT", "shm")
+        assert resolve_backend(None) == "shm"
         monkeypatch.delenv("REPRO_TRANSPORT")
         assert resolve_backend(None) == "thread"
+
+    def test_process_is_an_alias_of_shm(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
+        assert resolve_backend("process") == "shm"
+        for value in ("process", "PROCESS", "Process"):
+            monkeypatch.setenv("REPRO_TRANSPORT", value)
+            assert resolve_backend(None) == "shm"
+        _, stats = spmd_run(
+            2, _rank_of, transport="process", return_stats=True
+        )
+        assert stats.backend == "shm"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown transport"):
@@ -721,20 +753,23 @@ class TestBackendSelection:
     def test_faults_force_thread_from_env(self, monkeypatch):
         from repro.runtime.faults import FaultPlan
 
-        monkeypatch.setenv("REPRO_TRANSPORT", "process")
+        monkeypatch.setenv("REPRO_TRANSPORT", "shm")
         assert resolve_backend(None, faults=FaultPlan(seed=0)) == "thread"
         assert resolve_backend(None, recover=True) == "thread"
 
     def test_explicit_process_with_faults_raises(self):
+        """An explicit forked backend (or its alias) with faults or
+        recovery is an unsupported combination, not a silent fallback."""
         from repro.runtime.faults import FaultPlan
 
-        with pytest.raises(ValueError, match="thread backend only"):
-            resolve_backend("process", faults=FaultPlan(seed=0))
-        with pytest.raises(ValueError, match="thread backend only"):
-            spmd_run(2, lambda comm: None, recover=True, transport="process")
+        for name in ("shm", "process"):
+            with pytest.raises(ValueError, match="thread backend only"):
+                resolve_backend(name, faults=FaultPlan(seed=0))
+            with pytest.raises(ValueError, match="thread backend only"):
+                spmd_run(2, lambda comm: None, recover=True, transport=name)
 
     def test_env_fallback_warns_once(self, monkeypatch):
-        """The quiet env-process -> thread fallback announces itself with a
+        """The quiet env-shm -> thread fallback announces itself with a
         one-shot RuntimeWarning so a CI leg can see its runs were not on
         the backend it configured."""
         import warnings as warnings_mod
@@ -742,7 +777,7 @@ class TestBackendSelection:
         import repro.runtime.transport as transport
         from repro.runtime.faults import FaultPlan
 
-        monkeypatch.setenv("REPRO_TRANSPORT", "process")
+        monkeypatch.setenv("REPRO_TRANSPORT", "shm")
         monkeypatch.setattr(transport, "_FALLBACK_WARNED", False)
         with pytest.warns(RuntimeWarning, match="falls back to transport='thread'"):
             assert resolve_backend(None, faults=FaultPlan(seed=0)) == "thread"
@@ -752,11 +787,15 @@ class TestBackendSelection:
             assert resolve_backend(None, recover=True) == "thread"
 
     def test_env_value_case_insensitive_and_strict(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRANSPORT", "Process")
-        assert resolve_backend(None) == "process"
-        monkeypatch.setenv("REPRO_TRANSPORT", "prcoess")
+        monkeypatch.setenv("REPRO_TRANSPORT", "Shm")
+        assert resolve_backend(None) == "shm"
+        monkeypatch.setenv("REPRO_TRANSPORT", "shmm")
         with pytest.raises(ValueError, match="REPRO_TRANSPORT"):
             resolve_backend(None)
+
+
+def _rank_of(comm):
+    return comm.rank
 
 
 class TestStatsObjects:
