@@ -199,23 +199,20 @@ class DistributedMesh:
     # P1/P2: weight computation and reporting
     # ------------------------------------------------------------------ #
 
-    def local_weight_update(self, prev=None) -> dict:
-        """Packed vertex/edge weight report of ``G`` for this rank's owned
-        roots (phase P1): flat sorted arrays, see
-        :mod:`repro.pared.weights`.  With a previous full report ``prev``,
-        only changed entries (plus tombstones) are included — what actually
-        travels in P2.
+    def local_weight_update(self) -> dict:
+        """Full packed vertex/edge weight report of ``G`` for this rank's
+        owned roots (phase P1): flat sorted arrays, see
+        :mod:`repro.pared.weights`.  The P2 delta against the previous
+        round's report is taken by the caller
+        (:func:`~repro.pared.weights.diff_weight_report`).
 
         Edge ``(a, b)`` (with ``a < b``) is reported by the owner of ``a``.
         """
         from repro.mesh.dualgraph import coarse_dual_graph
-        from repro.pared.weights import diff_weight_report, full_weight_report
+        from repro.pared.weights import full_weight_report
 
         graph = coarse_dual_graph(self.amesh.mesh)
-        full = full_weight_report(graph, self.owner, self.rank)
-        if prev is not None:
-            return diff_weight_report(full, prev)
-        return full
+        return full_weight_report(graph, self.owner, self.rank)
 
     def exchange_halo_weights(self, full: dict, graph):
         """Phase P2, ``dkl`` variant: neighbor-to-neighbor halo exchange.

@@ -133,9 +133,9 @@ def execute_migration(
     empty channels cost nothing — O(moves) messages instead of O(p²).
 
     During crash recovery a directive's source may be a dead rank; the
-    destination then reconstructs the tree payload from its own mesh
-    replica instead of receiving it (the replicated structure *is* the
-    checkpoint of the mesh data).
+    destination then adopts those trees straight from its own mesh
+    replica, with nothing to receive (the replicated structure *is* the
+    checkpoint of the mesh data).  They count as ``reconstructed_here``.
 
     Returns accounting: trees moved, leaf elements moved, how many trees
     this rank sent/received/reconstructed, and the broadcast ``extra``.
@@ -173,7 +173,7 @@ def execute_migration(
     send_dsts = sorted(d for (s, d) in channels if s == comm.rank and d in live_set)
     recv_srcs = sorted(s for (s, d) in channels if d == comm.rank and s in live_set)
 
-    sent = received = reconstructed = 0
+    sent = received = 0
     for d in send_dsts:
         payload = pack_tree_payloads(mesh, channels[(comm.rank, d)])
         comm.send(payload, d, tag=31)
@@ -183,14 +183,8 @@ def execute_migration(
         # delivery under fault injection is retried, not fatal
         payload = recv_with_retry(comm, s, tag=31)
         received += int(payload["roots"].shape[0])
-    recon_roots = moved[
-        ~np.isin(src, np.fromiter(live_set, dtype=np.int64, count=len(live_set)))
-        & (dst == comm.rank)
-    ]
-    if recon_roots.size:
-        # the owner died with the trees it owed; the replica stands in
-        pack_tree_payloads(mesh, recon_roots)
-        reconstructed = int(recon_roots.size)
+    # trees whose owner died with them: the replica already holds them
+    reconstructed = int(np.count_nonzero(~np.isin(src, live) & (dst == comm.rank)))
 
     dmesh.owner = new_owner.copy()
 

@@ -20,8 +20,8 @@ CheckpointStore`).  When a peer dies, the runtime raises
 :class:`~repro.runtime.recovery.PeerCrashed` from the survivors' blocked
 receives; they then flush their channels, agree on the newest checkpoint
 every survivor holds, re-assign the dead rank's coarse roots via the
-ordinary repartition/migration machinery (tree payloads owed by the dead
-rank are reconstructed from the replicated mesh), and replay the
+ordinary repartition/migration machinery (trees owed by the dead rank are
+adopted from the replicated mesh, with no payload), and replay the
 interrupted round with ``p-1`` ranks.  All of it is deterministic given the
 fault plan's seed, so two runs of the same configuration produce identical
 recovered histories.
@@ -332,7 +332,7 @@ def _pared_round(comm, cfg: ParedConfig, st: _RankState, rnd: int) -> None:
         full = full_weight_report(graph_struct, dmesh.owner, comm.rank)
         st.prev_full = None
     else:
-        full = dmesh.local_weight_update(None)
+        full = dmesh.local_weight_update()
         delta = diff_weight_report(full, st.prev_full)
         st.prev_full = full
 
@@ -559,8 +559,8 @@ def _recover(comm, cfg: ParedConfig, store: CheckpointStore, flush_seen: dict):
     dmesh = DistributedMesh(comm, ckpt.amesh, ckpt.owner, live=live)
 
     # coordinator-led re-assignment of the dead rank's roots, executed by
-    # the ordinary migration machinery; payloads owed by the dead rank are
-    # reconstructed from the replica inside execute_migration
+    # the ordinary migration machinery; trees owed by the dead rank are
+    # adopted from the replica inside execute_migration
     leaves_before = ckpt.amesh.leaf_ids().copy()
     if comm.rank == C:
         graph = (

@@ -122,7 +122,7 @@ def _workflow_rank(comm, cfg: WorkflowConfig):
 
         # ---- weights to the coordinator ------------------------------- #
         comm.set_phase("P1")
-        update = dmesh.local_weight_update(None)
+        update = dmesh.local_weight_update()
         comm.set_phase("P2")
         msgs = dmesh.send_weights_to_coordinator(update, C)
 

@@ -61,6 +61,7 @@ pinning a slot for them.
 
 from __future__ import annotations
 
+import math
 import pickle
 import struct
 
@@ -219,7 +220,11 @@ def encode_into(obj, buf, offset: int = 0) -> int:
     return offset
 
 
-def _decode_node(buf: bytes, pos: int):
+def _decode_node(buf, pos: int, view_min, on_view):
+    """Decode the node at ``pos`` of ``buf`` (``bytes`` or a memoryview);
+    returns ``(obj, end)``.  Arrays of at least ``view_min`` bytes come
+    back as read-only views into ``buf`` (reported to ``on_view``); all
+    others are private copies."""
     tag = buf[pos]
     pos += 1
     if tag == _NONE:
@@ -235,17 +240,18 @@ def _decode_node(buf: bytes, pos: int):
     if tag == _STR:
         (n,) = _u32.unpack_from(buf, pos)
         pos += 4
-        return buf[pos : pos + n].decode("utf-8"), pos + n
+        return str(buf[pos : pos + n], "utf-8"), pos + n
     if tag == _BYTES:
         (n,) = _u32.unpack_from(buf, pos)
         pos += 4
-        return buf[pos : pos + n], pos + n
+        raw = buf[pos : pos + n]
+        return (raw if type(raw) is bytes else bytes(raw)), pos + n
     if tag == _LIST or tag == _TUPLE:
         (n,) = _u32.unpack_from(buf, pos)
         pos += 4
         items = []
         for _ in range(n):
-            item, pos = _decode_node(buf, pos)
+            item, pos = _decode_node(buf, pos, view_min, on_view)
             items.append(item)
         return (items if tag == _LIST else tuple(items)), pos
     if tag == _DICT:
@@ -253,14 +259,14 @@ def _decode_node(buf: bytes, pos: int):
         pos += 4
         d = {}
         for _ in range(n):
-            k, pos = _decode_node(buf, pos)
-            v, pos = _decode_node(buf, pos)
+            k, pos = _decode_node(buf, pos, view_min, on_view)
+            v, pos = _decode_node(buf, pos, view_min, on_view)
             d[k] = v
         return d, pos
     if tag == _ARRAY:
         dlen = buf[pos]
         pos += 1
-        dtype = np.dtype(buf[pos : pos + dlen].decode("ascii"))
+        dtype = np.dtype(str(buf[pos : pos + dlen], "ascii"))
         pos += dlen
         ndim = buf[pos]
         pos += 1
@@ -273,8 +279,19 @@ def _decode_node(buf: bytes, pos: int):
             count *= s
         nbytes = count * dtype.itemsize
         arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos)
-        # copy out of the frame: receivers own (and may mutate) their data
-        return arr.reshape(shape).copy(), pos + nbytes
+        if nbytes >= view_min:
+            # zero-copy: the array aliases the frame memory and pins it
+            # (its .base chain holds the frame view); read-only so the
+            # alias can never corrupt the wire
+            arr = arr.reshape(shape)
+            arr.flags.writeable = False
+            if on_view is not None:
+                on_view(arr)
+        else:
+            # copy out of the frame: receivers own (and may mutate) their
+            # data, and for a small array a copy is cheaper than a pin
+            arr = arr.reshape(shape).copy()
+        return arr, pos + nbytes
     if tag == _INTLIST:
         (n,) = _u32.unpack_from(buf, pos)
         pos += 4
@@ -287,12 +304,10 @@ def _decode_node(buf: bytes, pos: int):
     raise ValueError(f"corrupt typed frame: unknown tag 0x{tag:02x} at {pos - 1}")
 
 
-def decode(frame: bytes):
-    """Inverse of :func:`encode`.  A frame not starting with :data:`MAGIC`
-    raises ``ValueError``."""
-    if not frame or frame[0] != MAGIC:
+def _decode_frame(frame, view_min, on_view):
+    if len(frame) == 0 or frame[0] != MAGIC:
         raise ValueError("not a typed frame: no codec magic byte")
-    obj, pos = _decode_node(frame, 1)
+    obj, pos = _decode_node(frame, 1, view_min, on_view)
     if pos != len(frame):
         raise ValueError(
             f"corrupt typed frame: {len(frame) - pos} trailing bytes"
@@ -300,85 +315,10 @@ def decode(frame: bytes):
     return obj
 
 
-def _decode_node_view(buf, pos: int, on_view=None):
-    """Like :func:`_decode_node` over a memoryview, but large arrays come
-    back as read-only views into ``buf`` instead of copies."""
-    tag = buf[pos]
-    pos += 1
-    if tag == _NONE:
-        return None, pos
-    if tag == _TRUE:
-        return True, pos
-    if tag == _FALSE:
-        return False, pos
-    if tag == _INT:
-        return _i64.unpack_from(buf, pos)[0], pos + 8
-    if tag == _FLOAT:
-        return _f64.unpack_from(buf, pos)[0], pos + 8
-    if tag == _STR:
-        (n,) = _u32.unpack_from(buf, pos)
-        pos += 4
-        return bytes(buf[pos : pos + n]).decode("utf-8"), pos + n
-    if tag == _BYTES:
-        (n,) = _u32.unpack_from(buf, pos)
-        pos += 4
-        return bytes(buf[pos : pos + n]), pos + n
-    if tag == _LIST or tag == _TUPLE:
-        (n,) = _u32.unpack_from(buf, pos)
-        pos += 4
-        items = []
-        for _ in range(n):
-            item, pos = _decode_node_view(buf, pos, on_view)
-            items.append(item)
-        return (items if tag == _LIST else tuple(items)), pos
-    if tag == _DICT:
-        (n,) = _u32.unpack_from(buf, pos)
-        pos += 4
-        d = {}
-        for _ in range(n):
-            k, pos = _decode_node_view(buf, pos, on_view)
-            v, pos = _decode_node_view(buf, pos, on_view)
-            d[k] = v
-        return d, pos
-    if tag == _ARRAY:
-        dlen = buf[pos]
-        pos += 1
-        dtype = np.dtype(bytes(buf[pos : pos + dlen]).decode("ascii"))
-        pos += dlen
-        ndim = buf[pos]
-        pos += 1
-        shape = tuple(
-            _i64.unpack_from(buf, pos + 8 * i)[0] for i in range(ndim)
-        )
-        pos += 8 * ndim
-        count = 1
-        for s in shape:
-            count *= s
-        nbytes = count * dtype.itemsize
-        arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos)
-        if nbytes >= ZERO_COPY_MIN:
-            # zero-copy: the array aliases the frame memory and pins it
-            # (its .base chain holds the frame view); read-only so the
-            # alias can never corrupt the wire
-            arr = arr.reshape(shape)
-            arr.flags.writeable = False
-            if on_view is not None:
-                on_view(arr)
-        else:
-            # small array: a copy is cheaper than pinning the slot, and
-            # matches decode()'s receivers-own-their-memory contract
-            arr = arr.reshape(shape).copy()
-        return arr, pos + nbytes
-    if tag == _INTLIST:
-        (n,) = _u32.unpack_from(buf, pos)
-        pos += 4
-        arr = np.frombuffer(buf, dtype=np.int64, count=n, offset=pos)
-        return arr.tolist(), pos + 8 * n
-    if tag == _PICKLE:
-        (n,) = _u32.unpack_from(buf, pos)
-        pos += 4
-        return pickle.loads(bytes(buf[pos : pos + n])), pos + n
-    raise ValueError(f"corrupt typed frame: unknown tag 0x{tag:02x} at {pos - 1}")
+def decode(frame: bytes):
+    """Inverse of :func:`encode`: every array is a private, writable copy.
+    A frame not starting with :data:`MAGIC` raises ``ValueError``."""
+    return _decode_frame(frame, math.inf, None)
 
 
 def decode_view(frame, on_view=None):
@@ -394,14 +334,7 @@ def decode_view(frame, on_view=None):
     """
     if isinstance(frame, (bytes, bytearray)):
         return decode(bytes(frame))
-    if len(frame) == 0 or frame[0] != MAGIC:
-        raise ValueError("not a typed frame: no codec magic byte")
-    obj, pos = _decode_node_view(frame, 1, on_view)
-    if pos != len(frame):
-        raise ValueError(
-            f"corrupt typed frame: {len(frame) - pos} trailing bytes"
-        )
-    return obj
+    return _decode_frame(frame, ZERO_COPY_MIN, on_view)
 
 
 def materialize(obj):

@@ -23,11 +23,17 @@ from its own channels, the set of injected faults is a pure function of the
 plan — independent of thread scheduling — so every failing schedule can be
 replayed from its seed.
 
-When a plan is active, messages travel in *envelopes* ``(tag, seq,
-not_before, payload)`` and the receiving side resequences by ``seq``,
-drops duplicates, and honours ``not_before`` (the injected network latency).
-With ``plan=None`` the runtime uses its original wire format and code path
-untouched — fault injection is strictly zero-overhead when disabled.
+The wire perturbations live behind the transport seam: when a plan is
+active, :class:`~repro.runtime.simmpi.SimComm` runs on a
+:class:`FaultyWire` instead of the plain
+:class:`~repro.runtime.transport.ThreadTransport`.  Messages travel in
+*envelopes* ``(tag, seq, not_before, payload)``; the wire's receiving side
+resequences by ``seq``, drops duplicates, and honours ``not_before`` (the
+injected network latency), so ``SimComm``'s one receive loop sees the same
+exactly-once, in-order stream as on a clean wire.  The communicator keeps
+only the crash clock and the plan's retry/backoff schedule.  With
+``plan=None`` the plain wire is used untouched — fault injection is
+strictly zero-overhead when disabled.
 
 Every injected event is appended to a shared :class:`FaultLog` so tests can
 assert that a plan actually perturbed the wire (a chaos run that injected
@@ -36,9 +42,13 @@ nothing proves nothing).
 
 from __future__ import annotations
 
+import queue
 import random
 import threading
+import time
 from dataclasses import dataclass
+
+from repro.runtime.transport import ThreadTransport, TransportEmpty
 
 #: seconds a "reordered" message is held — long enough for the receiver's
 #: 50 ms poll to observe the inversion, short enough never to trip a
@@ -156,6 +166,75 @@ class FaultLog:
     def __len__(self) -> int:
         with self._lock:
             return len(self.events)
+
+
+class FaultyWire(ThreadTransport):
+    """The in-process wire under a :class:`FaultPlan`.
+
+    ``push_parts`` envelopes each frame with its channel sequence number
+    and applies the plan's decisions (delay, reorder, duplicate), logging
+    each one; ``pull`` resequences, drops duplicates and holds an envelope
+    until its ``not_before`` has passed.  Traffic statistics still record
+    the *logical* message exactly once (in ``SimComm.send``) — duplicates
+    and delays are wire artifacts, visible in the fault log only.
+    """
+
+    __slots__ = ("_plan", "_log", "_out_seq", "_rng", "_next_seq", "_reseq")
+
+    def __init__(self, shared, rank: int):
+        super().__init__(shared, rank)
+        self._plan = shared.faults
+        self._log = shared.fault_log
+        self._out_seq = {}  # dst -> next sequence number to send
+        self._rng = {}  # dst -> per-channel decision stream
+        self._next_seq = {}  # src -> next sequence number to deliver
+        self._reseq = {}  # src -> {seq: (tag, not_before, payload)}
+
+    def push_parts(self, dest: int, tag: int, parts, total: int) -> None:
+        plan = self._plan
+        seq = self._out_seq.get(dest, 0)
+        self._out_seq[dest] = seq + 1
+        rng = self._rng.get(dest)
+        if rng is None:
+            rng = self._rng[dest] = plan.channel_rng(self._rank, dest)
+        # one draw per knob, always, so decision streams stay aligned
+        # across plans that differ only in rates
+        u_dup, u_reorder, u_delay = rng.random(), rng.random(), rng.random()
+        not_before = 0.0
+        if plan.delay_rate and u_delay < plan.delay_rate:
+            not_before = time.monotonic() + plan.delay
+            self._log.record("delay", self._rank, dest, seq)
+        elif plan.reorder_rate and u_reorder < plan.reorder_rate:
+            # held just long enough for the channel's next message to
+            # overtake it on the wire
+            not_before = time.monotonic() + _REORDER_HOLD
+            self._log.record("reorder", self._rank, dest, seq)
+        q = self._shared.queues[(self._rank, dest)]
+        envelope = (tag, seq, not_before, b"".join(parts))
+        q.put(envelope)
+        if plan.duplicate_rate and u_dup < plan.duplicate_rate:
+            q.put(envelope)
+            self._log.record("duplicate", self._rank, dest, seq)
+
+    def pull(self, source: int, slice_s: float):
+        buf = self._reseq.setdefault(source, {})
+        q = self._shared.queues[(source, self._rank)]
+        while True:
+            # deliver the next in-sequence envelope once its injected
+            # latency has elapsed
+            nxt = self._next_seq.get(source, 0)
+            entry = buf.get(nxt)
+            if entry is not None and entry[1] <= time.monotonic():
+                del buf[nxt]
+                self._next_seq[source] = nxt + 1
+                return entry[0], entry[2]
+            try:
+                tag, seq, not_before, payload = q.get(timeout=slice_s)
+            except queue.Empty:
+                raise TransportEmpty() from None
+            if seq < nxt or seq in buf:
+                continue  # duplicate delivery — drop
+            buf[seq] = (tag, not_before, payload)
 
 
 def recv_with_retry(

@@ -75,6 +75,7 @@ from time import perf_counter
 from repro.perf import PERF
 from repro.runtime.codec import decode_view
 from repro.runtime.envflags import env_int
+from repro.runtime.faults import SimRankCrashed
 from repro.runtime.transport import (
     FrameAssembler,
     SimMPIAborted,
@@ -441,9 +442,6 @@ class ShmTransport:
     # ------------------------------------------------------------------ #
     # outbound: ring first, spill to the socket
     # ------------------------------------------------------------------ #
-
-    def push(self, dest, tag, payload) -> None:
-        self.push_parts(dest, tag, (payload,), len(payload))
 
     def push_parts(self, dest, tag, parts, total) -> None:
         """Scatter-gather send: write the codec parts straight into the
@@ -1012,12 +1010,14 @@ class ShmPool:
 
 
 def _finish_run(results, errors, deaths, stats, return_stats):
-    """Apply the threaded ``spmd_run``'s error precedence and return shape.
+    """Apply ``spmd_run``'s error precedence and return shape (every
+    backend, fail-stop runs).
 
     SimMPIAborted and BrokenBarrierError on peers are consequences, not
     causes.  A rank process death is the root cause and surfaces typed and
     clean — survivors' SimRankDied views of the same death are its
-    consequences.
+    consequences.  So does a plan-injected :class:`SimRankCrashed`: it is
+    an expected diagnostic, not a wrapped failure.
     """
     if deaths:
         raise deaths[0]
@@ -1029,6 +1029,8 @@ def _finish_run(results, errors, deaths, stats, return_stats):
     ]
     if primary:
         rank, exc = primary[0]
+        if isinstance(exc, SimRankCrashed):
+            raise exc
         raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
     for rank, exc in enumerate(errors):
         if exc is not None and not isinstance(exc, SimMPIAborted):

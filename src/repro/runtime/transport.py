@@ -2,11 +2,14 @@
 
 :class:`~repro.runtime.simmpi.SimComm` owns everything *semantic* about
 message passing — tag matching, stashes, collectives, phase accounting,
-fault injection, membership — and delegates the raw wire to a transport
-object with four operations:
+membership, the fault plan's crash clock and retry schedule — and
+delegates the raw wire to a transport object with four operations:
 
-``push(dest, tag, payload)``
-    Put one framed message on the wire (non-blocking, buffered).
+``push_parts(dest, tag, parts, total)``
+    Put one message on the wire (non-blocking, buffered).  ``parts`` is
+    the codec's scatter-gather list
+    (:func:`~repro.runtime.codec.encode_parts`) whose byte sizes sum to
+    ``total``; each backend gathers it the cheapest way it can.
 ``pull(source, slice_s)``
     Return the next ``(tag, payload)`` from ``source`` or raise
     :class:`TransportEmpty` after waiting at most ``slice_s`` seconds.
@@ -17,18 +20,23 @@ object with four operations:
 
 The seam is deliberately small: even the pairwise collectives
 (recursive-doubling/ring ``allgather``, the nonblocking ``iallgather``)
-are built entirely from these four operations.  ``push`` being
+are built entirely from these four operations.  ``push_parts`` being
 non-blocking and buffered is what makes ``iallgather`` legal — a rank
 posts all its first-step frames immediately and returns a ``Request``;
 the deferred ``wait()`` only ever *pulls*, so no new wire primitive
 (and no per-backend code) was needed for overlap.
 
-Two backends implement the seam:
+Three transports implement the seam:
 
 * :class:`ThreadTransport` — the in-process wire: one ``queue.Queue``
   per ordered rank pair, a ``threading.Barrier``, the shared abort
   event.  This is the default and the only backend that supports fault
   injection and crash recovery.
+* :class:`~repro.runtime.faults.FaultyWire` — the same queues under a
+  :class:`~repro.runtime.faults.FaultPlan`: envelopes with per-channel
+  sequence numbers, injected delay/reorder/duplication on the send side,
+  resequencing and dedup on the receive side.  ``SimComm`` picks it
+  instead of :class:`ThreadTransport` whenever a plan is active.
 * :class:`~repro.runtime.shm.ShmTransport` — forked rank processes from
   a persistent pool.  Frames travel through per-rank-pair shared-memory
   rings (zero-copy on the receive side); Unix socketpairs carry the
@@ -200,10 +208,11 @@ class ThreadTransport:
         self._shared = shared
         self._rank = rank
 
-    def push(self, dest: int, tag: int, payload: bytes) -> None:
-        # frames cross by reference — nothing is memcpy'd on this channel
-        self._shared.stats.record_wire("queue", len(payload), 0)
-        self._shared.queues[(self._rank, dest)].put((tag, payload))
+    def push_parts(self, dest: int, tag: int, parts, total: int) -> None:
+        # the join is the codec's gather; the frame then crosses the queue
+        # by reference — nothing is memcpy'd on this channel
+        self._shared.stats.record_wire("queue", total, 0)
+        self._shared.queues[(self._rank, dest)].put((tag, b"".join(parts)))
 
     def pull(self, source: int, slice_s: float):
         try:

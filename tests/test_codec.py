@@ -271,6 +271,25 @@ class TestZeroCopyViews:
         # the small array owns its memory and is writable
         assert out["small"].flags.writeable
         out["small"][0] = 5
+        # the same frame through decode: a private, writable copy
+        owned = decode(bytes(frame))["a"]
+        assert owned.flags.writeable
+        assert not np.shares_memory(owned, np.frombuffer(frame, np.uint8))
+        owned[0] = 99
+        # the threshold itself: one word short is copied, exactly at it
+        # is a view
+        below = np.arange((ZERO_COPY_MIN - 8) // 8, dtype=np.int64)
+        at = np.arange(ZERO_COPY_MIN // 8, dtype=np.int64)
+        assert (below.nbytes, at.nbytes) == (ZERO_COPY_MIN - 8, ZERO_COPY_MIN)
+        edge = bytearray(encode({"below": below, "at": at}))
+        got = decode_view(memoryview(edge).toreadonly())
+        edge_u8 = np.frombuffer(edge, np.uint8)
+        assert got["below"].flags.writeable
+        assert not np.shares_memory(got["below"], edge_u8)
+        assert not got["at"].flags.writeable
+        assert np.shares_memory(got["at"], edge_u8)
+        assert np.array_equal(got["below"], below)
+        assert np.array_equal(got["at"], at)
 
     def test_views_survive_ring_slot_pinning(self):
         """A decoded view keeps its ring slot pinned: while the view is

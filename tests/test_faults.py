@@ -107,6 +107,56 @@ class TestWireSemantics:
         assert d1 != d2
 
 
+class TestWirePin:
+    """Literal decision streams and crash diagnostics, so a shifted RNG
+    draw, sequence number or crash clock shows up as a diff, not just as
+    two equal runs of the same code."""
+
+    CHAOS_DECISIONS = [
+        ("delay", 0, 1, 8, -1), ("delay", 0, 1, 9, -1), ("delay", 0, 2, 6, -1),
+        ("duplicate", 0, 1, 2, -1), ("duplicate", 0, 1, 3, -1),
+        ("duplicate", 0, 1, 8, -1), ("duplicate", 0, 1, 11, -1),
+        ("duplicate", 0, 2, 1, -1), ("duplicate", 0, 2, 4, -1),
+        ("duplicate", 0, 2, 7, -1), ("duplicate", 0, 2, 11, -1),
+        ("reorder", 0, 1, 1, -1), ("reorder", 0, 1, 2, -1),
+        ("reorder", 0, 1, 5, -1), ("reorder", 0, 2, 0, -1),
+        ("reorder", 0, 2, 2, -1), ("reorder", 0, 2, 3, -1),
+        ("reorder", 0, 2, 4, -1), ("reorder", 0, 2, 7, -1),
+        ("reorder", 0, 2, 8, -1), ("reorder", 0, 2, 9, -1),
+        ("reorder", 0, 2, 10, -1), ("reorder", 0, 2, 11, -1),
+    ]
+
+    def test_chaos_pingpong_decisions(self):
+        results, stats = spmd_run(3, _pingpong, return_stats=True, faults=CHAOS)
+        decisions = sorted(e for e in stats.fault_log.events if e[0] in _DECISIONS)
+        assert decisions == self.CHAOS_DECISIONS
+        assert results == spmd_run(3, _pingpong)
+        assert stats.phase_report() == {"default": (24, 612)}
+        assert dict(stats.by_pair) == {(0, 1): 12, (0, 2): 12}
+
+    @pytest.mark.parametrize(
+        "rank, op",
+        # rank 0: 24 sends then the barrier; rank 1: 12 receives then the
+        # barrier — the last op of each rank is the highest that can fire
+        [(0, 9), (0, 25), (1, 13)],
+    )
+    def test_crash_at_op(self, rank, op):
+        plan = FaultPlan(
+            seed=5, duplicate_rate=0.5, reorder_rate=0.3,
+            crash_rank=rank, crash_at_op=op,
+        )
+        with pytest.raises(SimRankCrashed) as err:
+            spmd_run(3, _pingpong, faults=plan)
+        assert str(err.value) == (
+            f"rank {rank} crashed (injected fault) at communication op {op}"
+        )
+
+    @pytest.mark.parametrize("rank, op", [(0, 26), (1, 14)])
+    def test_crash_clock_past_last_op_never_fires(self, rank, op):
+        plan = FaultPlan(seed=5, crash_rank=rank, crash_at_op=op)
+        assert spmd_run(3, _pingpong, faults=plan) == spmd_run(3, _pingpong)
+
+
 class TestZeroOverhead:
     def test_no_fault_plan_accounting_identical(self):
         """A PARED run with fault support disabled and one with an inert

@@ -103,7 +103,7 @@ class TestDistributedMesh:
             am.refine([0, 3])
             owner = np.arange(am.n_roots) % comm.size
             dm = DistributedMesh(comm, am, owner)
-            upd = dm.local_weight_update(None)
+            upd = dm.local_weight_update()
             all_updates = comm.allgather(upd)
             if comm.rank == 0:
                 g = coarse_dual_graph(am.mesh)
