@@ -54,9 +54,6 @@ class DistributedMesh:
             if live is not None
             else list(range(comm.size))
         )
-        # None while the full communicator is alive, so collectives take
-        # their original (zero-overhead) path; the live list otherwise
-        self.group = self.live if len(self.live) < comm.size else None
 
     # ------------------------------------------------------------------ #
     # ownership queries
@@ -175,7 +172,7 @@ class DistributedMesh:
             if src != comm.rank:
                 received.append(comm.recv(src, tag=10))
         local_targets = np.unique(np.concatenate(received))
-        all_targets = comm.allgather(local_targets, tag=11, ranks=self.group)
+        all_targets = comm.allgather(local_targets, tag=11, ranks=self.live)
         union = (
             np.unique(np.concatenate(all_targets)).tolist() if all_targets else []
         )
@@ -187,7 +184,7 @@ class DistributedMesh:
         have marked their children, exactly as in the serial rule)."""
         comm = self.comm
         local = np.unique(np.asarray(sorted(int(e) for e in marked_owned), dtype=np.int64))
-        all_marked = comm.allgather(local, tag=12, ranks=self.group)
+        all_marked = comm.allgather(local, tag=12, ranks=self.live)
         union = (
             np.unique(np.concatenate(all_marked)).tolist() if all_marked else []
         )

@@ -140,16 +140,13 @@ def execute_migration(
     Returns accounting: trees moved, leaf elements moved, how many trees
     this rank sent/received/reconstructed, and the broadcast ``extra``.
     """
-    live = getattr(dmesh, "live", None)
-    if live is None:
-        live = list(range(comm.size))
-    group = live if len(live) < comm.size else None
+    live = dmesh.live
     payload0 = (
         (np.asarray(new_owner, dtype=np.int64), extra)
         if comm.rank == coordinator
         else None
     )
-    new_owner, extra = comm.bcast(payload0, root=coordinator, tag=30, ranks=group)
+    new_owner, extra = comm.bcast(payload0, root=coordinator, tag=30, ranks=live)
     old_owner = np.asarray(dmesh.owner)
     new_owner = np.asarray(new_owner)
     moved = np.nonzero(old_owner != new_owner)[0]

@@ -5,7 +5,9 @@ Section 2, run SPMD over the simulated runtime.
 computes the initial partition of the coarse dual graph, maintains ``G``
 from the weight deltas of phases P1/P2, repartitions it when the measured
 imbalance exceeds the trigger, and directs tree migrations (P3).  All other
-phases run symmetrically on every rank.
+phases run symmetrically on every rank.  The solve-driven loop of
+:mod:`repro.pared.workflow` runs the same rank function and round; only its
+P0 marking step differs.
 
 The coordinator's copy of ``G`` is assembled *only* from P2 messages — it
 never peeks at the replica — so the test-suite can verify the distributed
@@ -105,7 +107,9 @@ class ParedConfig:
     marker:
         ``marker(amesh, round) -> (refine_leaf_ids, coarsen_leaf_ids)``.
         Conceptually each rank evaluates it on owned leaves; determinism
-        lets every rank call it on the replica and keep only owned ids.
+        lets every rank call it on the replica.  Each rank keeps only the
+        ids of leaves it owns before P0, so ids of other ranks' leaves
+        are ignored.
     rounds:
         Number of adapt/repartition rounds.
     pnr:
@@ -243,11 +247,12 @@ class _RankState:
     """Everything a rank mutates across rounds (checkpointed wholesale)."""
 
     amesh: AdaptiveMesh
-    dmesh: DistributedMesh
-    coord_graph: Optional[_CoordinatorGraph]
-    prev_full: Optional[dict]
-    history: list
     coordinator: int
+    history: list = field(default_factory=list)
+    #: set once the owner map is known (setup broadcast or checkpoint)
+    dmesh: Optional[DistributedMesh] = None
+    coord_graph: Optional[_CoordinatorGraph] = None
+    prev_full: Optional[dict] = None
     #: the coordinator's repartitioning strategy (None on other ranks);
     #: carries the sfc curve-order cache across rounds
     repart: Optional[object] = None
@@ -255,52 +260,52 @@ class _RankState:
     root_coords: Optional[np.ndarray] = None
 
 
+def _fresh_state(comm, cfg: ParedConfig, amesh: AdaptiveMesh, live) -> _RankState:
+    """A rank's state before its first round over ``live``: the lowest live
+    rank stands in for a dead ``P_C``, and the coordinator gets a fresh
+    strategy object, the static root centroids and an empty ``G`` (none
+    under dkl — there the weights stay distributed and travel
+    neighbor-to-neighbor in P2)."""
+    C = cfg.coordinator if cfg.coordinator in live else min(live)
+    st = _RankState(amesh=amesh, coordinator=C)
+    if comm.rank == C:
+        st.repart = make_repartitioner(
+            cfg.partitioner, pnr=cfg.pnr, curve=cfg.sfc_curve
+        )
+        st.root_coords = coarse_root_centroids(amesh.mesh)
+        if cfg.partitioner not in _DKL_FAMILY:
+            st.coord_graph = _CoordinatorGraph(amesh.n_roots)
+    return st
+
+
 def _pared_setup(comm, cfg: ParedConfig, live) -> _RankState:
     """Initial (or post-wipeout re-initial) partition and distribution."""
     live = sorted(live)
-    C = cfg.coordinator if cfg.coordinator in live else live[0]
-    amesh = cfg.make_mesh()
+    st = _fresh_state(comm, cfg, cfg.make_mesh(), live)
 
     # initial partition at the coordinator (the mesh "is loaded into P_C")
     comm.set_phase("P3")
-    group = live if len(live) < comm.size else None
-    repart = root_coords = None
-    if comm.rank == C:
-        repart = make_repartitioner(
-            cfg.partitioner, pnr=cfg.pnr, curve=cfg.sfc_curve
+    owner0 = None
+    if comm.rank == st.coordinator:
+        graph0 = coarse_dual_graph(st.amesh.mesh)
+        owner0 = expand_owner(
+            st.repart.initial(graph0, len(live), coords=st.root_coords), live
         )
-        root_coords = coarse_root_centroids(amesh.mesh)
-        graph0 = coarse_dual_graph(amesh.mesh)
-        if group is None:
-            owner0 = repart.initial(graph0, comm.size, coords=root_coords)
-        else:
-            owner0 = expand_owner(
-                repart.initial(graph0, len(live), coords=root_coords), live
-            )
-    else:
-        owner0 = None
-    owner = comm.bcast(owner0, root=C, tag=40, ranks=group)
-    dmesh = DistributedMesh(comm, amesh, owner, live=live)
-    # under dkl the coordinator never assembles G — weights stay
-    # distributed and travel neighbor-to-neighbor in P2
-    coord_graph = (
-        _CoordinatorGraph(amesh.n_roots)
-        if comm.rank == C and cfg.partitioner not in _DKL_FAMILY
-        else None
-    )
-    return _RankState(
-        amesh=amesh,
-        dmesh=dmesh,
-        coord_graph=coord_graph,
-        prev_full=None,
-        history=[],
-        coordinator=C,
-        repart=repart,
-        root_coords=root_coords,
-    )
+    owner = comm.bcast(owner0, root=st.coordinator, tag=40, ranks=live)
+    st.dmesh = DistributedMesh(comm, st.amesh, owner, live=live)
+    return st
 
 
-def _pared_round(comm, cfg: ParedConfig, st: _RankState, rnd: int) -> None:
+def _marker_step(comm, cfg: ParedConfig, st: _RankState, rnd: int):
+    """``run_pared``'s P0 marking: the configured marker on the replica,
+    with no extra record fields."""
+    return (*cfg.marker(st.amesh, rnd), {})
+
+
+def _pared_round(comm, cfg: ParedConfig, mark, st: _RankState, rnd: int) -> None:
+    """One round.  ``mark(comm, cfg, st, rnd)`` returns ``(refine_ids,
+    coarsen_ids, fields)``: leaf ids to adapt (only owned ones are kept)
+    and extra fields for the round record."""
     amesh, dmesh, C = st.amesh, st.dmesh, st.coordinator
     live = dmesh.live
     dkl = cfg.partitioner in _DKL_FAMILY
@@ -308,7 +313,7 @@ def _pared_round(comm, cfg: ParedConfig, st: _RankState, rnd: int) -> None:
     # ---- P0: adapt ------------------------------------------------ #
     tick = perf_counter()
     comm.set_phase("P0")
-    refine_ids, coarsen_ids = cfg.marker(amesh, rnd)
+    refine_ids, coarsen_ids, fields = mark(comm, cfg, st, rnd)
     my_refine = np.intersect1d(
         np.asarray(refine_ids, dtype=np.int64), dmesh.owned_leaf_ids()
     )
@@ -346,9 +351,7 @@ def _pared_round(comm, cfg: ParedConfig, st: _RankState, rnd: int) -> None:
         view = dmesh.exchange_halo_weights(full, graph_struct)
         wsum = float(full["v_wts"].sum())
         wmax_local = float(full["v_wts"].max()) if full["v_wts"].size else 0.0
-        gathered = comm.gather(
-            (wsum, wmax_local), root=C, tag=42, ranks=dmesh.group
-        )
+        gathered = comm.gather((wsum, wmax_local), root=C, tag=42, ranks=live)
         if comm.rank == C:
             loads = np.zeros(comm.size)
             for r, (s, _) in zip(live, gathered):
@@ -360,7 +363,7 @@ def _pared_round(comm, cfg: ParedConfig, st: _RankState, rnd: int) -> None:
             decision = (loads, float(wmax), imb)
         else:
             decision = None
-        loads, wmax, imb = comm.bcast(decision, root=C, tag=43, ranks=dmesh.group)
+        loads, wmax, imb = comm.bcast(decision, root=C, tag=43, ranks=live)
     else:
         msgs = dmesh.send_weights_to_coordinator(delta, C)
 
@@ -390,7 +393,6 @@ def _pared_round(comm, cfg: ParedConfig, st: _RankState, rnd: int) -> None:
                 wmax,
                 live,
                 dcfg,
-                group=dmesh.group,
             )
             comm.set_phase("P3")
         else:
@@ -409,20 +411,15 @@ def _pared_round(comm, cfg: ParedConfig, st: _RankState, rnd: int) -> None:
             mean = live_loads.sum() / len(live)
             imb = float(live_loads.max() / mean - 1.0) if mean else 0.0
             if imb > cfg.imbalance_trigger:
-                if len(live) == comm.size:
-                    new_owner = st.repart.repartition(
-                        graph, comm.size, dmesh.owner, coords=st.root_coords
-                    )
-                else:
-                    new_owner = expand_owner(
-                        st.repart.repartition(
-                            graph,
-                            len(live),
-                            compact_owner(dmesh.owner, live),
-                            coords=st.root_coords,
-                        ),
-                        live,
-                    )
+                new_owner = expand_owner(
+                    st.repart.repartition(
+                        graph,
+                        len(live),
+                        compact_owner(dmesh.owner, live),
+                        coords=st.root_coords,
+                    ),
+                    live,
+                )
             else:
                 new_owner = dmesh.owner.copy()
     else:
@@ -440,11 +437,10 @@ def _pared_round(comm, cfg: ParedConfig, st: _RankState, rnd: int) -> None:
         tick = perf_counter()
         comm.set_phase("audit")
         check_partition_validity(dmesh.owner, comm.size, amesh.n_roots)
-        if len(live) < comm.size:
-            check_recovery_partition(dmesh.owner, live, amesh.n_roots)
-        check_replica_agreement(comm, dmesh.owner, ranks=dmesh.group)
+        check_recovery_partition(dmesh.owner, live, amesh.n_roots)
+        check_replica_agreement(comm, dmesh.owner, ranks=live)
         owned_all = comm.allgather(
-            dmesh.owned_leaf_ids().tolist(), tag=91, ranks=dmesh.group
+            dmesh.owned_leaf_ids().tolist(), tag=91, ranks=live
         )
         check_migration_conservation(leaves_before, amesh.leaf_ids(), owned_all)
         if dkl:
@@ -462,20 +458,14 @@ def _pared_round(comm, cfg: ParedConfig, st: _RankState, rnd: int) -> None:
             # Equation-1 KL engine; the mlkl/sfc strategies optimize
             # other objectives and are checked by validity/balance alone
             if imb > cfg.imbalance_trigger and cfg.partitioner == "pnr":
-                if len(live) == comm.size:
-                    check_monotone_refinement(
-                        graph, comm.size, old_owner, dmesh.owner,
-                        cfg.pnr.alpha, cfg.pnr.beta,
-                    )
-                else:
-                    check_monotone_refinement(
-                        graph,
-                        len(live),
-                        compact_owner(old_owner, live),
-                        compact_owner(dmesh.owner, live),
-                        cfg.pnr.alpha,
-                        cfg.pnr.beta,
-                    )
+                check_monotone_refinement(
+                    graph,
+                    len(live),
+                    compact_owner(old_owner, live),
+                    compact_owner(dmesh.owner, live),
+                    cfg.pnr.alpha,
+                    cfg.pnr.beta,
+                )
         PERF.add("pared.audit", perf_counter() - tick)
 
     # ---- metrics (identical on every replica) ---------------------- #
@@ -493,6 +483,7 @@ def _pared_round(comm, cfg: ParedConfig, st: _RankState, rnd: int) -> None:
             "owner": dmesh.owner.copy(),
             "old_owner": old_owner,
             "p_live": len(live),
+            **fields,
         }
     )
 
@@ -532,41 +523,35 @@ def _recover(comm, cfg: ParedConfig, store: CheckpointStore, flush_seen: dict):
 
     ckpt = store.restore(decision)
     store.discard_after(decision)
-    C = cfg.coordinator if cfg.coordinator in live else live[0]
-    coordinator_changed = C != ckpt.coordinator
-    dkl = cfg.partitioner in _DKL_FAMILY
-    if coordinator_changed or dkl:
-        # a freshly promoted P_C starts with an empty G; every survivor
-        # resets its delta baseline so the next round's P2 carries full
-        # reports and G is rebuilt from messages alone.  (Under dkl there
-        # is no coordinator G at all — every round's P2 rebuilds the halo
-        # views from full reports, so recovery has nothing to restore.)
-        prev_full = None
-        coord_graph = (
-            _CoordinatorGraph(ckpt.amesh.n_roots)
-            if comm.rank == C and not dkl
-            else None
-        )
-    else:
-        prev_full = ckpt.prev_full
-        coord_graph = (
-            _CoordinatorGraph.from_snapshot(
+    # a fresh strategy object: the sfc curve-order cache rebuilds
+    # deterministically from the replica's (static) root centroids
+    st = _fresh_state(comm, cfg, ckpt.amesh, live)
+    st.history = ckpt.history
+    C = st.coordinator
+    # a freshly promoted P_C starts with the empty G of a fresh state, and
+    # every survivor keeps the reset delta baseline, so the next round's P2
+    # carries full reports and G is rebuilt from messages alone.  (Under
+    # dkl there is no coordinator G at all — every round's P2 rebuilds the
+    # halo views from full reports, so recovery has nothing to restore.)
+    bootstrap = C != ckpt.coordinator or cfg.partitioner in _DKL_FAMILY
+    if not bootstrap:
+        st.prev_full = ckpt.prev_full
+        if comm.rank == C:
+            st.coord_graph = _CoordinatorGraph.from_snapshot(
                 ckpt.amesh.n_roots, ckpt.coord_vwts, ckpt.coord_edges
             )
-            if comm.rank == C
-            else None
-        )
-    dmesh = DistributedMesh(comm, ckpt.amesh, ckpt.owner, live=live)
+    dmesh = st.dmesh = DistributedMesh(comm, ckpt.amesh, ckpt.owner, live=live)
 
     # coordinator-led re-assignment of the dead rank's roots, executed by
     # the ordinary migration machinery; trees owed by the dead rank are
     # adopted from the replica inside execute_migration
     leaves_before = ckpt.amesh.leaf_ids().copy()
+    new_owner = None
     if comm.rank == C:
         graph = (
             coarse_dual_graph(ckpt.amesh.mesh)  # failover bootstrap
-            if coordinator_changed or dkl
-            else coord_graph.graph()
+            if bootstrap
+            else st.coord_graph.graph()
         )
         new_owner = plan_recovery_assignment(
             graph,
@@ -577,8 +562,6 @@ def _recover(comm, cfg: ParedConfig, store: CheckpointStore, flush_seen: dict):
             seed=cfg.pnr.seed,
             balance_tol=cfg.pnr.balance_tol,
         )
-    else:
-        new_owner = None
     mig = execute_migration(comm, dmesh, new_owner, coordinator=C)
 
     # recovery invariants: the survivors hold a valid p-1 partition and the
@@ -588,24 +571,6 @@ def _recover(comm, cfg: ParedConfig, store: CheckpointStore, flush_seen: dict):
     if cfg.audit:
         check_replica_agreement(comm, dmesh.owner, ranks=live)
 
-    repart = root_coords = None
-    if comm.rank == C:
-        # a fresh strategy object: the sfc curve-order cache rebuilds
-        # deterministically from the replica's (static) root centroids
-        repart = make_repartitioner(
-            cfg.partitioner, pnr=cfg.pnr, curve=cfg.sfc_curve
-        )
-        root_coords = coarse_root_centroids(ckpt.amesh.mesh)
-    st = _RankState(
-        amesh=ckpt.amesh,
-        dmesh=dmesh,
-        coord_graph=coord_graph,
-        prev_full=prev_full,
-        history=ckpt.history,
-        coordinator=C,
-        repart=repart,
-        root_coords=root_coords,
-    )
     st.history.append(
         {
             "round": ckpt.round,
@@ -622,7 +587,7 @@ def _recover(comm, cfg: ParedConfig, store: CheckpointStore, flush_seen: dict):
     return ckpt.round + 1, st, live
 
 
-def _pared_rank(comm, cfg: ParedConfig):
+def _pared_rank(comm, cfg: ParedConfig, mark):
     recover = cfg.recover and getattr(comm, "recovery_enabled", False)
     store = CheckpointStore(keep=2) if recover else None
     flush_seen: dict = {}
@@ -637,7 +602,7 @@ def _pared_rank(comm, cfg: ParedConfig):
                     _save_checkpoint(store, -1, st)
                 rnd = 0
             while rnd < cfg.rounds:
-                _pared_round(comm, cfg, st, rnd)
+                _pared_round(comm, cfg, mark, st, rnd)
                 if recover:
                     _save_checkpoint(store, rnd, st)
                 rnd += 1
@@ -646,7 +611,7 @@ def _pared_rank(comm, cfg: ParedConfig):
                 # rank got through all rounds, so a crash in the final
                 # round still finds every survivor reachable for recovery
                 comm.set_phase("commit")
-                comm.allgather(("commit", rnd), tag=COMMIT_TAG, ranks=st.dmesh.group)
+                comm.allgather(("commit", rnd), tag=COMMIT_TAG, ranks=live)
             return st.history
         except PeerCrashed:
             if not recover:
@@ -657,6 +622,26 @@ def _pared_rank(comm, cfg: ParedConfig):
                     break
                 except PeerCrashed:
                     continue  # another death mid-recovery: restart it
+
+
+def _run(cfg: ParedConfig, mark):
+    """Launch ``cfg.p`` ranks of the PARED loop with the P0 marking step
+    ``mark`` (see :func:`_pared_round`); the runner behind both
+    :func:`run_pared` and :func:`repro.pared.workflow.run_workflow`."""
+    PERF.reset()
+    histories, stats = spmd_run(
+        cfg.p,
+        _pared_rank,
+        cfg,
+        mark,
+        return_stats=True,
+        faults=cfg.faults,
+        recover=cfg.recover,
+        transport=cfg.transport,
+    )
+    check_history_agreement(histories)
+    stats.kernel_perf = PERF.snapshot()
+    return histories, stats
 
 
 def run_pared(cfg: ParedConfig):
@@ -672,16 +657,4 @@ def run_pared(cfg: ParedConfig):
     (``pared.P0``..``pared.P3``, ``pared.audit``) and the multilevel kernels
     underneath them (``kl.refine``, ``matching.hem``, ``contract``, ...).
     See docs/performance.md."""
-    PERF.reset()
-    histories, stats = spmd_run(
-        cfg.p,
-        _pared_rank,
-        cfg,
-        return_stats=True,
-        faults=cfg.faults,
-        recover=cfg.recover,
-        transport=cfg.transport,
-    )
-    check_history_agreement(histories)
-    stats.kernel_perf = PERF.snapshot()
-    return histories, stats
+    return _run(cfg, _marker_step)

@@ -850,7 +850,7 @@ class _FramePending:
         return [unpack_proposal_frame(f) for f in frames]
 
 
-def _comm_exchange(comm, group):
+def _comm_exchange(comm, live):
     """Exchange for the SPMD drivers: pack this rank's proposal into the
     struct-of-arrays frame, post a nonblocking allgather on
     :data:`PROPOSAL_TAG`, and account the posted bytes against the round
@@ -861,7 +861,7 @@ def _comm_exchange(comm, group):
     def exchange(local, rnd):
         with PERF.span("dkl.exchange"):
             frame = pack_proposal_frame(local[comm.rank])
-            req = comm.iallgather(frame, tag=PROPOSAL_TAG, ranks=group)
+            req = comm.iallgather(frame, tag=PROPOSAL_TAG, ranks=live)
         comm.stats.record_round("dkl.proposals", rnd, req.sent_bytes)
         return _FramePending(req)
 
@@ -1070,7 +1070,7 @@ def dkl_refine_serial(
     return (assign, trace) if return_trace else assign
 
 
-def dkl_refine_comm(comm, view: PartView, owner, loads, wmax, live, cfg, group=None):
+def dkl_refine_comm(comm, view: PartView, owner, loads, wmax, live, cfg):
     """SPMD distributed refinement: this rank proposes for its own part,
     proposals travel by allgather (tag :data:`PROPOSAL_TAG`), and every
     rank replays the same resolve — the returned assignment is
@@ -1089,7 +1089,7 @@ def dkl_refine_comm(comm, view: PartView, owner, loads, wmax, live, cfg, group=N
 
     return _refine_loop(
         view.n, loads.size, views, assign, home, loads, live, cfg, wmax,
-        _comm_exchange(comm, group), my_parts=[comm.rank],
+        _comm_exchange(comm, live), my_parts=[comm.rank],
     )
 
 
@@ -1129,9 +1129,7 @@ def dkl_ml_refine_serial(graph, p, current, cfg: DKLConfig = None, live=None):
     )
 
 
-def dkl_ml_refine_comm(
-    comm, view: PartView, owner, loads, wmax, live, cfg, group=None
-):
+def dkl_ml_refine_comm(comm, view: PartView, owner, loads, wmax, live, cfg):
     """SPMD multilevel refinement: each rank matches its own part's
     internal subgraph, the matchings travel by allgather (tag
     :data:`MATCHING_TAG`) so every rank derives the identical coarse map,
@@ -1147,11 +1145,11 @@ def dkl_ml_refine_comm(
     def gather_pairs(local, lvl):
         a, b = local[comm.rank]
         packed = np.concatenate([a, b])  # (a ++ b): split at the midpoint
-        out = comm.allgather(packed, tag=MATCHING_TAG, ranks=group)
+        out = comm.allgather(packed, tag=MATCHING_TAG, ranks=live)
         return [(arr[: arr.size // 2], arr[arr.size // 2 :]) for arr in out]
 
     def reduce_max(x, lvl):
-        return comm.allreduce(x, op=max, tag=REDUCE_TAG, ranks=group)
+        return comm.allreduce(x, op=max, tag=REDUCE_TAG, ranks=live)
 
     def handoff(vws, old, new):
         mine = vws[comm.rank]
@@ -1170,6 +1168,6 @@ def dkl_ml_refine_comm(
 
     return _ml_refine(
         view.n, loads.size, views, assign, loads, live, cfg, wmax,
-        [comm.rank], _comm_exchange(comm, group), gather_pairs, reduce_max,
+        [comm.rank], _comm_exchange(comm, live), gather_pairs, reduce_max,
         handoff,
     )

@@ -1,9 +1,9 @@
 """Named repartitioner registry: ``pnr`` / ``mlkl`` / ``sfc`` / ``dkl`` /
 ``dkl-ml``.
 
-The PARED drivers (:mod:`repro.pared.system`, :mod:`repro.pared.workflow`)
-and the CLI select the coordinator's repartitioning strategy by name.  A
-registry entry is a small stateful object with two operations on the coarse
+The PARED round (:func:`repro.pared.system.run_pared`, which also runs
+:func:`repro.pared.workflow.run_workflow`) and the CLI select the
+coordinator's repartitioning strategy by name.  A registry entry is a small stateful object with two operations on the coarse
 dual graph:
 
 ``initial(graph, p, coords=...)``
@@ -35,9 +35,10 @@ Strategies
     Distributed boundary refinement
     (:mod:`repro.partition.distributed`): per-part propose / deterministic
     tie-break resolve / bounded rebalance under the Equation-1 gain.  This
-    registry entry runs the serial reference engine; inside the PARED
-    system the same code runs SPMD with neighbor-to-neighbor halo
-    exchange and no coordinator in the refinement loop.
+    registry entry runs the serial reference engine; the PARED round uses
+    it only for the initial partition and otherwise runs the same code
+    SPMD, with neighbor-to-neighbor halo exchange and no coordinator in
+    the refinement loop.
 ``dkl-ml``
     Multilevel flavour of ``dkl``: each part coarsens its own subgraph by
     intra-part heavy-edge matching, the same tournament runs on the coarse

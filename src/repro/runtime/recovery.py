@@ -155,18 +155,15 @@ class CheckpointStore:
 def compact_owner(owner: np.ndarray, live) -> np.ndarray:
     """Relabel an owner map over the sorted ``live`` ranks into the dense
     range ``0..len(live)-1`` (what ``multilevel_repartition`` requires)."""
-    live = sorted(int(r) for r in live)
-    lookup = {r: i for i, r in enumerate(live)}
+    live_arr = np.asarray(sorted(int(r) for r in live), dtype=np.int64)
     owner = np.asarray(owner, dtype=np.int64)
-    out = np.empty_like(owner)
-    for a in range(owner.shape[0]):
-        try:
-            out[a] = lookup[int(owner[a])]
-        except KeyError:
-            raise ValueError(
-                f"root {a} owned by non-live rank {int(owner[a])}"
-            ) from None
-    return out
+    out = np.searchsorted(live_arr, owner)
+    hit = out < live_arr.size
+    hit[hit] = live_arr[out[hit]] == owner[hit]
+    if not hit.all():
+        a = int(np.argmin(hit))
+        raise ValueError(f"root {a} owned by non-live rank {int(owner[a])}")
+    return out.astype(np.int64, copy=False)
 
 
 def expand_owner(compact: np.ndarray, live) -> np.ndarray:

@@ -430,3 +430,99 @@ class TestTransportParity:
         assert stats_s.backend == "shm"
         self._assert_bit_identical(hist_t, stats_t, hist_s, stats_s)
         assert "dkl" in stats_t.phase_report()  # refinement actually ran
+
+
+class TestWorkflowRound:
+    """``run_workflow`` runs ``run_pared``'s round with a solve-driven P0
+    marking step."""
+
+    #: per-partitioner digests of every record field the solve-driven loop
+    #: wrote before it shared ``run_pared``'s round (p=3, unit_square(6),
+    #: CornerLaplace2D, three rounds, PNR(seed=1)); a change here is a
+    #: behaviour change of the workflow, not a refactoring
+    FIELDS = (
+        "round", "leaves", "cg_iterations", "eta_max", "cut",
+        "shared_vertices", "elements_moved", "imbalance_before",
+        "local_load",
+    )
+    DIGESTS = {
+        "pnr": "bc2d64a07586523d",
+        "mlkl": "c305c2621447c452",
+        "sfc": "55d09b0b282c346b",
+        "dkl": "1c9d2d8c9be04243",
+        "dkl-ml": "35ac32b392e080e0",
+    }
+
+    @classmethod
+    def _digest(cls, histories):
+        import hashlib
+
+        h = hashlib.sha256()
+        for per_rank in histories:
+            for rec in per_rank:
+                for f in cls.FIELDS:
+                    h.update(f"{f}={np.asarray(rec[f]).tolist()!r};".encode())
+        return h.hexdigest()[:16]
+
+    @staticmethod
+    def _cfg(transport, partitioner="pnr", n=6, **kw):
+        import functools
+
+        from repro.pared import WorkflowConfig
+
+        return WorkflowConfig(
+            p=3,
+            make_mesh=functools.partial(AdaptiveMesh.unit_square, n),
+            problem=CornerLaplace2D(),
+            rounds=3,
+            pnr=PNR(seed=1),
+            partitioner=partitioner,
+            transport=transport,
+            **kw,
+        )
+
+    @pytest.mark.parametrize("partitioner", ["pnr", "mlkl", "sfc", "dkl", "dkl-ml"])
+    def test_history_pinned_and_backend_parity(self, partitioner):
+        from repro.pared import run_workflow
+
+        hist_t, stats_t = run_workflow(self._cfg("thread", partitioner))
+        hist_s, stats_s = run_workflow(self._cfg("shm", partitioner))
+        assert stats_s.backend == "shm"
+        assert self._digest(hist_t) == self.DIGESTS[partitioner]
+        assert self._digest(hist_s) == self.DIGESTS[partitioner]
+        for per_rank_t, per_rank_s in zip(hist_t, hist_s):
+            for a, b in zip(per_rank_t, per_rank_s):
+                assert np.array_equal(a["owner"], b["owner"])
+                assert np.array_equal(a["old_owner"], b["old_owner"])
+                assert a["trees_moved"] == b["trees_moved"]
+                assert a["p_live"] == b["p_live"] == 3
+        assert stats_t.phase_report() == stats_s.phase_report()
+        assert dict(stats_t.by_pair) == dict(stats_s.by_pair)
+        # dkl runs the SPMD tournament, not the coordinator's serial engine
+        assert ("dkl" in stats_t.phase_report()) == partitioner.startswith("dkl")
+
+    def test_audited_run(self):
+        from repro.pared import run_workflow
+
+        histories, stats = run_workflow(self._cfg("thread", audit=True))
+        assert self._digest(histories) == self.DIGESTS["pnr"]
+        assert stats.phase_report()["audit"][0] > 0
+
+    def test_ranks_mark_only_owned_leaves(self, monkeypatch):
+        """A rank owning no leaf (p=3 over the two triangles of
+        unit_square(1)) must not hand other ranks' leaves to P0."""
+        from repro.pared import run_workflow
+
+        calls = []
+        refine = DistributedMesh.parallel_refine
+
+        def spy(self, marked_owned):
+            marked = [int(e) for e in marked_owned]
+            calls.append((self.rank, marked, set(self.owned_leaf_ids().tolist())))
+            return refine(self, marked)
+
+        monkeypatch.setattr(DistributedMesh, "parallel_refine", spy)
+        run_workflow(self._cfg("thread", n=1))
+        assert {rank for rank, _, _ in calls} == {0, 1, 2}
+        for rank, marked, owned in calls:
+            assert set(marked) <= owned, f"rank {rank} marked foreign leaves"

@@ -163,6 +163,10 @@ class TestOwnerCompaction:
         compact = compact_owner(owner, live)
         assert compact.max() < len(live)
         assert np.array_equal(expand_owner(compact, live), owner)
+        with pytest.raises(ValueError, match="root 1 owned by non-live rank 3"):
+            compact_owner(np.array([0, 3, 5, 7]), live)
+        with pytest.raises(ValueError, match="root 2 owned by non-live rank 9"):
+            compact_owner(np.array([0, 5, 9]), live)
 
     def test_plan_recovery_assignment_moves_orphans_to_live(self, grid_graph):
         rng = np.random.default_rng(0)
