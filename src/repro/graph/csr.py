@@ -12,6 +12,21 @@ import numpy as np
 import scipy.sparse as sp
 
 
+def edge_keys(a, b, n_roots: int) -> np.ndarray:
+    """Pack edge endpoint arrays (``a < b`` elementwise) into scalar keys
+    ``a * n_roots + b`` — sorted int64 keys make every edge-set operation
+    (diff, dedup, merge) a flat array primitive."""
+    return np.asarray(a, dtype=np.int64) * np.int64(n_roots) + np.asarray(
+        b, dtype=np.int64
+    )
+
+
+def split_edge_keys(keys, n_roots: int):
+    """Inverse of :func:`edge_keys`: ``(a, b)`` endpoint arrays."""
+    keys = np.asarray(keys, dtype=np.int64)
+    return keys // n_roots, keys % n_roots
+
+
 class WeightedGraph:
     """Undirected graph in CSR form with vertex and edge weights.
 

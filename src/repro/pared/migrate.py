@@ -1,7 +1,9 @@
 """Tree migration (the tail of phase P3, Figure 2).
 
-The coordinator computes a new assignment of coarse roots to ranks and
-turns the difference into *directives*: ``(root, src, dst)`` triples.  Each
+Every rank holds the new assignment of coarse roots to ranks — the
+coordinator-led strategies (and crash recovery) broadcast it on tag 30 in
+P3, while ``dkl`` ranks each compute the identical map — and turns the
+difference into *directives*: ``(root, src, dst)`` triples.  Each
 source rank packages the refinement trees of every directed root — all
 descendants migrate with them — into **one struct-of-arrays frame per
 destination** (MPI-style message coalescing; the typed codec ships the
@@ -117,16 +119,15 @@ def unpack_tree_payloads(payload: dict) -> list:
     return out
 
 
-def execute_migration(
-    comm, dmesh, new_owner: np.ndarray, coordinator: int = 0, extra=None
-) -> dict:
+def execute_migration(comm, dmesh, new_owner: np.ndarray) -> dict:
     """Carry out phase P3's moves on every rank.
 
-    The coordinator broadcasts the new ownership (plus ``extra``, a small
-    replica-identical payload such as the measured imbalance, which rides
-    the same message); each source rank sends the tree payloads it owes,
-    aggregated per destination; each destination receives them.  Every rank
-    then installs the new ownership map.
+    ``new_owner`` is the new ownership map, which every rank must already
+    hold: the caller ships it (the coordinator-led strategies and crash
+    recovery broadcast their plan; under ``dkl`` every rank computed the
+    identical map itself, so nothing travels).  Each source rank sends the
+    tree payloads it owes, aggregated per destination; each destination
+    receives them.  Every rank then installs the new ownership map.
 
     The exchange is *sparse*: every rank holds both the old and the new
     owner map, so the exact send/recv sets follow from the directives and
@@ -137,16 +138,10 @@ def execute_migration(
     replica, with nothing to receive (the replicated structure *is* the
     checkpoint of the mesh data).  They count as ``reconstructed_here``.
 
-    Returns accounting: trees moved, leaf elements moved, how many trees
-    this rank sent/received/reconstructed, and the broadcast ``extra``.
+    Returns accounting: trees moved, leaf elements moved, and how many
+    trees this rank sent/received/reconstructed.
     """
     live = dmesh.live
-    payload0 = (
-        (np.asarray(new_owner, dtype=np.int64), extra)
-        if comm.rank == coordinator
-        else None
-    )
-    new_owner, extra = comm.bcast(payload0, root=coordinator, tag=30, ranks=live)
     old_owner = np.asarray(dmesh.owner)
     new_owner = np.asarray(new_owner)
     moved = np.nonzero(old_owner != new_owner)[0]
@@ -193,7 +188,6 @@ def execute_migration(
         "sent_here": sent,
         "received_here": received,
         "reconstructed_here": reconstructed,
-        "extra": extra,
     }
 
 

@@ -374,18 +374,13 @@ def _pared_round(comm, cfg: ParedConfig, mark, st: _RankState, rnd: int) -> None
     if dkl:
         if imb > cfg.imbalance_trigger:
             comm.set_phase("dkl")
-            dcfg = DKLConfig(
-                alpha=cfg.pnr.alpha,
-                beta=cfg.pnr.beta,
-                seed=cfg.pnr.seed,
-                balance_tol=cfg.pnr.balance_tol,
-            )
+            dcfg = DKLConfig.for_strategy(cfg.partitioner, cfg.pnr)
             refine = (
                 dkl_ml_refine_comm
                 if cfg.partitioner == "dkl-ml"
                 else dkl_refine_comm
             )
-            assign = refine(
+            new_owner = refine(
                 comm,
                 view,
                 dmesh.owner,
@@ -396,40 +391,39 @@ def _pared_round(comm, cfg: ParedConfig, mark, st: _RankState, rnd: int) -> None
             )
             comm.set_phase("P3")
         else:
-            assign = dmesh.owner.copy()
-        # every rank computed the identical assignment; the migration
-        # machinery still takes it from the coordinator side unchanged
-        new_owner = assign if comm.rank == C else None
-    elif comm.rank == C:
-        with PERF.span("pared.repartition.serial"):
-            st.coord_graph.merge(msgs)
-            graph = st.coord_graph.graph()
-            loads = np.bincount(
-                dmesh.owner, weights=graph.vwts, minlength=comm.size
-            )
-            live_loads = loads[live]
-            mean = live_loads.sum() / len(live)
-            imb = float(live_loads.max() / mean - 1.0) if mean else 0.0
-            if imb > cfg.imbalance_trigger:
-                new_owner = expand_owner(
-                    st.repart.repartition(
-                        graph,
-                        len(live),
-                        compact_owner(dmesh.owner, live),
-                        coords=st.root_coords,
-                    ),
-                    live,
-                )
-            else:
-                new_owner = dmesh.owner.copy()
+            new_owner = dmesh.owner.copy()
+        # every rank computed the identical assignment and already holds
+        # the imbalance from the P2 broadcast: nothing to ship
     else:
-        new_owner = None
-        imb = None
+        plan = None
+        if comm.rank == C:
+            with PERF.span("pared.repartition.serial"):
+                st.coord_graph.merge(msgs)
+                graph = st.coord_graph.graph()
+                loads = np.bincount(
+                    dmesh.owner, weights=graph.vwts, minlength=comm.size
+                )
+                live_loads = loads[live]
+                mean = live_loads.sum() / len(live)
+                imb = float(live_loads.max() / mean - 1.0) if mean else 0.0
+                if imb > cfg.imbalance_trigger:
+                    new_owner = expand_owner(
+                        st.repart.repartition(
+                            graph,
+                            len(live),
+                            compact_owner(dmesh.owner, live),
+                            coords=st.root_coords,
+                        ),
+                        live,
+                    )
+                else:
+                    new_owner = dmesh.owner.copy()
+            plan = (np.asarray(new_owner, dtype=np.int64), imb)
+        # the measured imbalance rides the owner broadcast, so the
+        # per-round record is replica-identical on every rank (not just P_C)
+        new_owner, imb = comm.bcast(plan, root=C, tag=30, ranks=live)
     old_owner = dmesh.owner.copy()
-    mig = execute_migration(comm, dmesh, new_owner, coordinator=C, extra=imb)
-    # the measured imbalance rides the owner broadcast, so the per-round
-    # record is replica-identical on every rank (not just P_C)
-    imb = mig["extra"]
+    mig = execute_migration(comm, dmesh, new_owner)
 
     # ---- audit: executable invariants of the round ----------------- #
     PERF.add("pared.P3", perf_counter() - tick)
@@ -562,7 +556,8 @@ def _recover(comm, cfg: ParedConfig, store: CheckpointStore, flush_seen: dict):
             seed=cfg.pnr.seed,
             balance_tol=cfg.pnr.balance_tol,
         )
-    mig = execute_migration(comm, dmesh, new_owner, coordinator=C)
+    new_owner = comm.bcast(new_owner, root=C, tag=30, ranks=live)
+    mig = execute_migration(comm, dmesh, new_owner)
 
     # recovery invariants: the survivors hold a valid p-1 partition and the
     # leaf multiset is untouched

@@ -57,19 +57,25 @@ the final assignment is replica-identical with **no coordinator
 involvement** — in a ``dkl`` PARED round the coordinator's only remaining
 job is the O(p) scalar imbalance check.
 
-:func:`dkl_refine_serial` drives the identical propose/resolve/rebalance
-code from a single thread (a rank loop instead of an allgather).  It backs
-the ``dkl`` registry strategy and is the reference the SPMD path
-(:func:`dkl_refine_comm`) is tested bit-identical against.
+The module has one serial driver body (:func:`dkl_ml_refine_serial`) and
+one SPMD body (:func:`dkl_ml_refine_comm`); ``DKLConfig.ml_levels`` picks
+the flat engine (``0``, ``dkl``) or the multilevel one (``>= 1``,
+``dkl-ml``: intra-part coarsening around the same tournament), and
+:func:`dkl_refine_serial`/:func:`dkl_refine_comm` are ``ml_levels=0``
+entry points into them.  The serial body drives the identical
+propose/resolve/rebalance code from a single thread (a rank loop instead of
+messages); it backs the registry strategies and is the reference the SPMD
+body is tested bit-identical against.  The tournament's budgets
+(:data:`MAX_ROUNDS`, :data:`MAX_PASSES`, ...) are module constants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.graph.csr import WeightedGraph
+from repro.graph.csr import WeightedGraph, edge_keys, split_edge_keys
 from repro.graph.matching import heavy_edge_matching
 from repro.perf import PERF
 
@@ -96,58 +102,58 @@ MATCHING_TAG = 47
 REDUCE_TAG = 48
 
 
-def edge_keys(a, b, n_roots: int) -> np.ndarray:
-    """Pack edge endpoint arrays (``a < b`` elementwise) into scalar keys —
-    the packing rule of :mod:`repro.pared.weights` (kept local so the
-    partition layer stays importable without the pared package)."""
-    return np.asarray(a, dtype=np.int64) * np.int64(n_roots) + np.asarray(
-        b, dtype=np.int64
-    )
-
-
-def split_edge_keys(keys, n_roots: int):
-    """Inverse of :func:`edge_keys`: ``(a, b)`` endpoint arrays."""
-    keys = np.asarray(keys, dtype=np.int64)
-    return keys // n_roots, keys % n_roots
+#: propose/resolve/rebalance iterations per pass before giving up (each
+#: round accepts an independent set of moves, so heavy imbalance needs
+#: many; converged rounds exit early and cost one cheap exchange)
+MAX_ROUNDS = 48
+#: most donations a single overweight part may propose per round —
+#: deliberately small: donating the whole excess in one batch at stale
+#: loads carves fragmented boundaries that refinement cannot repair, while
+#: bounded batches let the loads (and the proposals computed from them)
+#: refresh between donations
+REBALANCE_CAP = 8
+#: KL-style passes: per pass every vertex moves at most once and the
+#: suffix after the best cumulative-objective prefix is rolled back
+MAX_PASSES = 3
+#: accepted moves without a new best prefix before the pass ends (the
+#: hill-climbing tail that would be rolled back anyway)
+STALL = 32
+#: escape rounds per pass: each one costs a full exchange for a single
+#: accepted move, so the hill-climb budget is bounded separately from the
+#: batch rounds
+ESCAPE_CAP = 8
+#: a pass must keep at least this much objective improvement for another
+#: pass to start
+MIN_GAIN = 1e-9
 
 
 @dataclass
 class DKLConfig:
-    """Knobs of the distributed refinement pass.  ``alpha``/``beta``/
+    """Parameters of the distributed refinement pass.  ``alpha``/``beta``/
     ``seed``/``balance_tol`` mirror the Equation-1 parameters of
-    :class:`repro.core.pnr.PNR`; the rest bound the tournament."""
+    :class:`repro.core.pnr.PNR`; the tournament's budgets are the module
+    constants above."""
 
     alpha: float = 0.1
     beta: float = 0.8
     balance_tol: float = 0.02
     seed: int = 0
-    #: propose/resolve/rebalance iterations per pass before giving up
-    #: (each round accepts an independent set of moves, so heavy imbalance
-    #: needs many; converged rounds exit early and cost one cheap exchange)
-    max_rounds: int = 48
-    #: most donations a single overweight part may propose per round —
-    #: deliberately small: donating the whole excess in one batch at
-    #: stale loads carves fragmented boundaries that refinement cannot
-    #: repair, while bounded batches let the loads (and the proposals
-    #: computed from them) refresh between donations
-    rebalance_cap: int = 8
-    #: KL-style passes: per pass every vertex moves at most once and the
-    #: suffix after the best cumulative-objective prefix is rolled back
-    max_passes: int = 3
-    #: accepted moves without a new best prefix before the pass ends (the
-    #: hill-climbing tail that would be rolled back anyway)
-    stall: int = 32
-    #: escape rounds per pass: each one costs a full exchange for a single
-    #: accepted move, so the hill-climb budget is bounded separately from
-    #: the batch rounds
-    escape_cap: int = 8
-    #: a pass must keep at least this much objective improvement for
-    #: another pass to start
-    min_gain: float = 1e-9
-    #: coarsening levels of the multilevel drivers (``dkl-ml``): each level
-    #: halves the boundary subgraph by intra-part heavy-edge matching
-    #: before the tournament runs; the flat drivers ignore this knob
+    #: coarsening levels around the tournament: each level halves the
+    #: boundary subgraph by intra-part heavy-edge matching before the
+    #: tournament runs; ``0`` is the flat engine (``dkl``)
     ml_levels: int = 1
+
+    @classmethod
+    def for_strategy(cls, name: str, pnr=None) -> "DKLConfig":
+        """The config of registry strategy ``name`` (``dkl`` or
+        ``dkl-ml``): the Equation-1 parameters of ``pnr`` (a
+        :class:`repro.core.pnr.PNR`; ``None`` keeps the defaults) and one
+        coarsening level for ``dkl-ml``, none for ``dkl``."""
+        eq1 = ("alpha", "beta", "balance_tol", "seed")
+        return cls(
+            ml_levels=int(name == "dkl-ml"),
+            **{k: getattr(pnr, k, getattr(cls, k)) for k in eq1},
+        )
 
 
 class PartView:
@@ -483,7 +489,8 @@ def _propose_moves(
 def _propose_rebalance(view, assign, home, loads, live, cfg, locked, maxcap):
     """Donations from an overweight part: candidates ordered by least cut
     damage toward the lightest underweight live parts (teleports allowed),
-    cumulative weight just covering the excess, at most ``rebalance_cap``."""
+    cumulative weight just covering the excess, at most
+    :data:`REBALANCE_CAP`."""
     i = view.part
     if loads[i] <= maxcap:
         return None
@@ -517,7 +524,7 @@ def _propose_rebalance(view, assign, home, loads, live, cfg, locked, maxcap):
     cand = cand[order]
     excess = float(loads[i] - maxcap)
     take = int(np.searchsorted(np.cumsum(vw[cand]), excess) + 1)
-    cand = cand[: min(take, cfg.rebalance_cap)]
+    cand = cand[: min(take, REBALANCE_CAP)]
     return _pack_proposal(
         i, mine[cand], j[cand], static[cand], static[cand], vw[cand], cand, adj
     )
@@ -669,25 +676,13 @@ def _absorb_accepted(views, accepted) -> None:
 # ---------------------------------------------------------------------- #
 
 
-class _Ready:
-    """Already-completed exchange handle — the serial drivers' rank loop
-    has the full proposal set the moment it is built, but presents the
-    same post/``wait`` surface as the SPMD iallgather so :func:`_refine_loop`
-    is written once."""
-
-    __slots__ = ("_props",)
-
-    def __init__(self, props):
-        self._props = props
-
-    def wait(self):
-        return self._props
-
-
 def _refine_loop(
-    n_roots, p, views, assign, home, loads, live, cfg, wmax, exchange,
-    my_parts, trace=None,
+    n_roots, p, views, assign, home, loads, live, cfg, wmax, ex, trace=None
 ):
+    """Propose/resolve/rebalance rounds grouped into passes, on the parts
+    of ``views`` (all live parts in the serial driver, this rank's own in
+    the SPMD one); ``ex`` is the proposal exchange.  Mutates ``assign``,
+    ``loads`` and the views in place."""
     live = sorted(int(r) for r in live)
     mean = float(loads[live].sum()) / len(live) if live else 0.0
     # vertex-granularity balance band, same rule as the KL engine: the
@@ -699,7 +694,7 @@ def _refine_loop(
     locked = np.zeros(n_roots, dtype=bool)
     grnd = 0
 
-    for pss in range(cfg.max_passes):
+    for pss in range(MAX_PASSES):
         locked[:] = False
         # cumulative exact objective delta of this pass and its move log —
         # every rank replays the same accepts, so rollback is in lockstep
@@ -708,20 +703,20 @@ def _refine_loop(
         best_len = 0
         log = []
         escapes = 0
-        for rnd in range(cfg.max_rounds):
+        for rnd in range(MAX_ROUNDS):
             with PERF.span("dkl.propose"):
                 ctxs = {
                     part: _score_moves(
                         views[part], assign, home, loads, live, cfg, maxcap,
                         floor, locked,
                     )
-                    for part in my_parts
+                    for part in views
                 }
                 local = {
                     part: _proposal_from(ctxs[part], cfg)
-                    for part in my_parts
+                    for part in views
                 }
-            pending = exchange(local, grnd)
+            pending = ex.post(local, grnd)
             # overlap window: while the proposal frames are in flight,
             # prestage the escape offer from the same scoring context.  An
             # escape round only runs when the regular round accepted
@@ -731,9 +726,9 @@ def _refine_loop(
             with PERF.span("dkl.propose"):
                 esc_local = {
                     part: _proposal_from(ctxs[part], cfg, escape=True)
-                    for part in my_parts
+                    for part in views
                 }
-            props = pending.wait()
+            props = ex.wait(pending)
             with PERF.span("dkl.resolve"):
                 moved = _resolve(
                     props, assign, loads, counts, locked, maxcap, floor,
@@ -742,12 +737,12 @@ def _refine_loop(
             _absorb_accepted(views, moved)
 
             esc = []
-            if not moved and escapes < cfg.escape_cap:
+            if not moved and escapes < ESCAPE_CAP:
                 escapes += 1
                 # no positive move anywhere: offer each part's single
                 # least-damaging move and accept the best one — KL's
                 # hill-climb across objective ridges, batch edition
-                props = exchange(esc_local, grnd).wait()
+                props = ex.wait(ex.post(esc_local, grnd))
                 with PERF.span("dkl.resolve"):
                     esc = _resolve(
                         props, assign, loads, counts, locked, maxcap, floor,
@@ -763,9 +758,9 @@ def _refine_loop(
                             views[part], assign, home, loads, live, cfg,
                             locked, maxcap,
                         )
-                        for part in my_parts
+                        for part in views
                     }
-                props = exchange(local, grnd).wait()
+                props = ex.wait(ex.post(local, grnd))
                 with PERF.span("dkl.rebalance"):
                     rb = _resolve(
                         props, assign, loads, counts, locked, maxcap, floor,
@@ -778,7 +773,7 @@ def _refine_loop(
             for m in moved + esc + rb:
                 cum += m["gain"]
                 log.append((m["v"], m["src"], m["dst"], m["vw"]))
-                if cum > best_cum + cfg.min_gain:
+                if cum > best_cum + MIN_GAIN:
                     best_cum = cum
                     best_len = len(log)
             if trace is not None:
@@ -794,7 +789,7 @@ def _refine_loop(
             grnd += 1
             if not moved and not esc and not rb:
                 break
-            if len(log) - best_len >= cfg.stall:
+            if len(log) - best_len >= STALL:
                 break  # the tail would be rolled back anyway
 
         # roll back the suffix after the best prefix (lockstep: same log
@@ -810,7 +805,7 @@ def _refine_loop(
             undone.append({"v": int(v), "to": int(src)})
         if trace is not None and undone:
             trace.append({"pass": pss, "rollback": undone})
-        if best_cum <= cfg.min_gain:
+        if best_cum <= MIN_GAIN:
             break
 
     for view in views.values():
@@ -819,53 +814,85 @@ def _refine_loop(
 
 
 # ---------------------------------------------------------------------- #
-# exchange plumbing (serial rank loop vs SPMD iallgather)
+# exchanges (serial rank loop vs SPMD messages)
 # ---------------------------------------------------------------------- #
 
 
-def _serial_exchange(live):
-    """Exchange for the serial drivers: all parts live in this process, so
-    the allgather is a list comprehension in live-rank order — the same
-    order :meth:`SimComm.allgather` assembles its blocks in."""
+class _SerialExchange:
+    """The collectives of the serial driver: every part lives in this
+    process, so each one is a rank loop in live-rank order — the order
+    :meth:`SimComm.allgather` assembles its blocks in.  A posted proposal
+    set is complete the moment it is built."""
 
-    def exchange(local, rnd):
-        return _Ready([local[part] for part in live])
+    def __init__(self, live):
+        self.live = live
 
-    return exchange
+    def post(self, local, rnd):
+        return self.gather_pairs(local)
+
+    def wait(self, pending):
+        return pending
+
+    def gather_pairs(self, local):
+        return [local[part] for part in self.live]
+
+    def reduce_max(self, x):
+        return x  # the local max is already global (all parts here)
+
+    def handoff(self, views, old, new):
+        for part in self.live:
+            reports = _handoff_reports(views[part], old, new)
+            for dst in sorted(reports):
+                views[dst].absorb(**reports[dst])
 
 
-class _FramePending:
-    """In-flight proposal exchange: wraps the iallgather
-    :class:`~repro.runtime.simmpi.Request` and unpacks the gathered frames
-    on :meth:`wait`."""
+class _CommExchange:
+    """The collectives of the SPMD driver on ``comm``.  Proposals travel as
+    packed frames (:func:`pack_proposal_frame`) by nonblocking allgather on
+    :data:`PROPOSAL_TAG`, their posted bytes accounted against the round
+    (``dkl.proposals`` in :class:`~repro.runtime.stats.TrafficStats`) — the
+    caller overlaps local scoring with the flight and waits before the
+    resolve.  Matchings allgather on :data:`MATCHING_TAG`, the coarse max
+    vertex weight allreduces on :data:`REDUCE_TAG`, and the projection
+    handoff is point-to-point on :data:`HANDOFF_TAG`."""
 
-    __slots__ = ("_req",)
+    def __init__(self, comm, live):
+        self.comm = comm
+        self.live = live
 
-    def __init__(self, req):
-        self._req = req
-
-    def wait(self):
+    def post(self, local, rnd):
         with PERF.span("dkl.exchange"):
-            frames = self._req.wait()
+            frame = pack_proposal_frame(local[self.comm.rank])
+            req = self.comm.iallgather(
+                frame, tag=PROPOSAL_TAG, ranks=self.live
+            )
+        self.comm.stats.record_round("dkl.proposals", rnd, req.sent_bytes)
+        return req
+
+    def wait(self, req):
+        with PERF.span("dkl.exchange"):
+            frames = req.wait()
         return [unpack_proposal_frame(f) for f in frames]
 
+    def gather_pairs(self, local):
+        a, b = local[self.comm.rank]
+        packed = np.concatenate([a, b])  # (a ++ b): split at the midpoint
+        out = self.comm.allgather(packed, tag=MATCHING_TAG, ranks=self.live)
+        return [(arr[: arr.size // 2], arr[arr.size // 2 :]) for arr in out]
 
-def _comm_exchange(comm, live):
-    """Exchange for the SPMD drivers: pack this rank's proposal into the
-    struct-of-arrays frame, post a nonblocking allgather on
-    :data:`PROPOSAL_TAG`, and account the posted bytes against the round
-    (``dkl.proposals`` in :class:`~repro.runtime.stats.TrafficStats`) —
-    the caller overlaps local scoring with the flight and ``wait()``\\ s
-    before the resolve."""
+    def reduce_max(self, x):
+        return self.comm.allreduce(x, op=max, tag=REDUCE_TAG, ranks=self.live)
 
-    def exchange(local, rnd):
-        with PERF.span("dkl.exchange"):
-            frame = pack_proposal_frame(local[comm.rank])
-            req = comm.iallgather(frame, tag=PROPOSAL_TAG, ranks=live)
-        comm.stats.record_round("dkl.proposals", rnd, req.sent_bytes)
-        return _FramePending(req)
-
-    return exchange
+    def handoff(self, views, old, new):
+        rank = self.comm.rank
+        mine = views[rank]
+        reports = _handoff_reports(mine, old, new)
+        for dst in sorted(reports):
+            self.comm.send(reports[dst], dst, HANDOFF_TAG)
+        old = np.asarray(old)
+        gained = np.unique(old[(np.asarray(new) == rank) & (old != rank)])
+        for src in sorted(int(s) for s in gained):
+            mine.absorb(**self.comm.recv(src, HANDOFF_TAG))
 
 
 # ---------------------------------------------------------------------- #
@@ -965,23 +992,20 @@ def _handoff_reports(view: PartView, old_assign, new_assign):
     return out
 
 
-def _ml_refine(
-    n, p, views, assign, loads, live, cfg, wmax, my_parts, exchange,
-    gather_pairs, reduce_max, handoff,
-):
-    """The multilevel wrapper around :func:`_refine_loop`: coarsen up to
-    ``cfg.ml_levels`` times by intra-part matching, run the tournament at
-    the coarsest level (where each accepted move relocates a whole cluster
-    and the balance envelope widens to the coarse vertex granularity), then
-    project down level by level — losers hand the fine payloads of departed
-    roots to the winners — re-refining at each finer level.  ``home`` at
-    every level is the entry assignment coarsened to that level: migration
-    cost is always charged against where the weight actually lives.
+def _ml_refine(n, p, views, assign, loads, live, cfg, wmax, ex, trace=None):
+    """The one refinement body: coarsen up to ``cfg.ml_levels`` times by
+    intra-part matching, run :func:`_refine_loop` at the coarsest level
+    (where each accepted move relocates a whole cluster and the balance
+    envelope widens to the coarse vertex granularity), then project down
+    level by level — losers hand the fine payloads of departed roots to
+    the winners — re-refining at each finer level.  ``ml_levels=0`` is the
+    flat engine: one round loop on the fine views.  ``home`` at every level
+    is the entry assignment coarsened to that level: migration cost is
+    always charged against where the weight actually lives.
 
-    The injected ``gather_pairs``/``reduce_max``/``handoff`` callables are
-    the level-change collectives (a rank loop in the serial driver, real
-    messages in the SPMD one); ``exchange`` is the usual proposal exchange,
-    shared by every level's round loop.
+    ``ex`` supplies every collective (:class:`_SerialExchange` or
+    :class:`_CommExchange`).  ``trace``, when a list, receives the round
+    records of the finest level (the caller's ``views``, root ids).
     """
     stack = []
     cur_views, cur_assign, cur_n, cur_wmax = views, assign, n, wmax
@@ -989,23 +1013,23 @@ def _ml_refine(
         with PERF.span("dkl.coarsen"):
             pairs = {
                 part: _match_part(cur_views[part], cur_assign, cfg.seed + lvl)
-                for part in my_parts
+                for part in cur_views
             }
-        all_pairs = gather_pairs(pairs, lvl)
+        all_pairs = ex.gather_pairs(pairs)
         if sum(a.size for a, _ in all_pairs) == 0:
             break  # nothing matched anywhere: deeper levels are identical
         with PERF.span("dkl.coarsen"):
             cmap, nc = _combine_matchings(cur_n, all_pairs)
             nxt_views = {
-                part: _contract_view(cur_views[part], cmap, nc, cur_assign)
-                for part in my_parts
+                part: _contract_view(view, cmap, nc, cur_assign)
+                for part, view in cur_views.items()
             }
             nxt_assign = np.zeros(nc, dtype=np.int64)
             nxt_assign[cmap] = np.asarray(cur_assign, dtype=np.int64)
             local_wmax = max(
                 (float(v.vwts.max()) for v in nxt_views.values()), default=0.0
             )
-        nxt_wmax = reduce_max(local_wmax, lvl)
+        nxt_wmax = ex.reduce_max(local_wmax)
         stack.append((cur_views, cur_assign, cur_n, cur_wmax, cmap))
         cur_views, cur_assign, cur_n, cur_wmax = (
             nxt_views, nxt_assign, nc, nxt_wmax,
@@ -1014,7 +1038,7 @@ def _ml_refine(
     # coarsest-level tournament (home == the coarsened entry assignment)
     _refine_loop(
         cur_n, p, cur_views, cur_assign, cur_assign.copy(), loads, live,
-        cfg, cur_wmax, exchange, my_parts,
+        cfg, cur_wmax, ex, trace if cur_views is views else None,
     )
 
     # project down: hand fine payloads across the new boundaries, then
@@ -1023,11 +1047,11 @@ def _ml_refine(
         with PERF.span("dkl.project"):
             projected = cur_assign[cmap]
         fhome = np.asarray(fassign, dtype=np.int64).copy()
-        handoff(fviews, fhome, projected)
+        ex.handoff(fviews, fhome, projected)
         fassign[:] = projected
         _refine_loop(
-            fn_, p, fviews, fassign, fhome, loads, live, cfg, fwmax,
-            exchange, my_parts,
+            fn_, p, fviews, fassign, fhome, loads, live, cfg, fwmax, ex,
+            trace if fviews is views else None,
         )
         cur_assign = fassign
     return assign
@@ -1038,20 +1062,25 @@ def _ml_refine(
 # ---------------------------------------------------------------------- #
 
 
-def dkl_refine_serial(
+def _flat(cfg):
+    return replace(cfg if cfg is not None else DKLConfig(), ml_levels=0)
+
+
+def dkl_ml_refine_serial(
     graph, p, current, cfg: DKLConfig = None, live=None, return_trace=False
 ):
     """Single-thread reference engine: every part's propose step runs in a
     rank loop instead of an allgather, through the exact code the SPMD path
     runs — the two are bit-identical by construction (and by test).
+    ``cfg.ml_levels`` picks flat (0) or multilevel (``dkl-ml``, >= 1).
 
     Returns the refined assignment, or ``(assignment, trace)`` with
-    ``return_trace=True`` where ``trace[k]`` records round ``k``'s accepted
-    moves and rebalance donations (the property-test surface).
+    ``return_trace=True`` where ``trace[k]`` records the finest level's
+    round ``k`` — accepted moves, escapes and rebalance donations — and
+    pass-end rollbacks (the property-test surface).
     """
     cfg = cfg if cfg is not None else DKLConfig()
     assign = np.asarray(current, dtype=np.int64).copy()
-    home = assign.copy()
     n = graph.n_vertices
     live = sorted(int(r) for r in (live if live is not None else range(p)))
     views = {part: PartView.from_graph(graph, part, assign) for part in live}
@@ -1060,21 +1089,23 @@ def dkl_refine_serial(
     ).astype(np.float64)
     wmax = float(graph.vwts.max()) if n else 0.0
     trace = [] if return_trace else None
-
-    exchange = _serial_exchange(live)
-
-    _refine_loop(
-        n, p, views, assign, home, loads, live, cfg, wmax, exchange,
-        my_parts=live, trace=trace,
+    _ml_refine(
+        n, p, views, assign, loads, live, cfg, wmax, _SerialExchange(live),
+        trace,
     )
     return (assign, trace) if return_trace else assign
 
 
-def dkl_refine_comm(comm, view: PartView, owner, loads, wmax, live, cfg):
-    """SPMD distributed refinement: this rank proposes for its own part,
-    proposals travel by allgather (tag :data:`PROPOSAL_TAG`), and every
-    rank replays the same resolve — the returned assignment is
-    replica-identical without coordinator involvement.
+def dkl_ml_refine_comm(comm, view: PartView, owner, loads, wmax, live, cfg):
+    """SPMD refinement: this rank proposes for its own part, proposals
+    travel by allgather (tag :data:`PROPOSAL_TAG`), and every rank replays
+    the same resolve — the returned assignment is replica-identical without
+    coordinator involvement.  With ``cfg.ml_levels >= 1`` each rank first
+    matches its own part's internal subgraph, the matchings travel by
+    allgather (tag :data:`MATCHING_TAG`) so every rank derives the
+    identical coarse map, and at each projection the losers ship the fine
+    payloads of departed roots point-to-point (tag :data:`HANDOFF_TAG`)
+    before the fine-level rounds.
 
     ``view`` is this rank's halo view (from
     :meth:`~repro.pared.distmesh.DistributedMesh.exchange_halo_weights`);
@@ -1083,91 +1114,24 @@ def dkl_refine_comm(comm, view: PartView, owner, loads, wmax, live, cfg):
     come from the coordinator's imbalance-check broadcast.
     """
     assign = np.asarray(owner, dtype=np.int64).copy()
-    home = assign.copy()
     loads = np.asarray(loads, dtype=np.float64).copy()
-    views = {comm.rank: view}
-
-    return _refine_loop(
-        view.n, loads.size, views, assign, home, loads, live, cfg, wmax,
-        _comm_exchange(comm, live), my_parts=[comm.rank],
-    )
-
-
-def dkl_ml_refine_serial(graph, p, current, cfg: DKLConfig = None, live=None):
-    """Single-thread reference of the multilevel refiner (``dkl-ml``):
-    the level-change collectives are rank loops, the round loop is the
-    same :func:`_refine_loop` the flat engine runs.  Bit-identical to
-    :func:`dkl_ml_refine_comm` by construction (and by test)."""
-    cfg = cfg if cfg is not None else DKLConfig()
-    assign = np.asarray(current, dtype=np.int64).copy()
-    n = graph.n_vertices
-    live = sorted(int(r) for r in (live if live is not None else range(p)))
-    views = {part: PartView.from_graph(graph, part, assign) for part in live}
-    loads = np.bincount(
-        assign, weights=graph.vwts, minlength=p
-    ).astype(np.float64)
-    wmax = float(graph.vwts.max()) if n else 0.0
-
-    def gather_pairs(local, lvl):
-        return [local[part] for part in live]
-
-    def reduce_max(x, lvl):
-        return x  # the serial local max is already global (all parts here)
-
-    def handoff(vws, old, new):
-        for part in live:
-            reports = _handoff_reports(vws[part], old, new)
-            for dst in sorted(reports):
-                rep = reports[dst]
-                vws[dst].absorb(
-                    rep["v_ids"], rep["v_wts"], rep["e_keys"], rep["e_wts"]
-                )
-
     return _ml_refine(
-        n, p, views, assign, loads, live, cfg, wmax, live,
-        _serial_exchange(live), gather_pairs, reduce_max, handoff,
+        view.n, loads.size, {comm.rank: view}, assign, loads, live, cfg, wmax,
+        _CommExchange(comm, live),
     )
 
 
-def dkl_ml_refine_comm(comm, view: PartView, owner, loads, wmax, live, cfg):
-    """SPMD multilevel refinement: each rank matches its own part's
-    internal subgraph, the matchings travel by allgather (tag
-    :data:`MATCHING_TAG`) so every rank derives the identical coarse map,
-    the coarse tournament runs through the usual proposal exchange, and at
-    each projection the losers ship the fine payloads of departed roots
-    point-to-point (tag :data:`HANDOFF_TAG`) before the fine-level rounds.
-    Deterministic end to end: every collective input is replicated, so the
-    returned assignment is replica-identical like the flat refiner's."""
-    assign = np.asarray(owner, dtype=np.int64).copy()
-    loads = np.asarray(loads, dtype=np.float64).copy()
-    views = {comm.rank: view}
-
-    def gather_pairs(local, lvl):
-        a, b = local[comm.rank]
-        packed = np.concatenate([a, b])  # (a ++ b): split at the midpoint
-        out = comm.allgather(packed, tag=MATCHING_TAG, ranks=live)
-        return [(arr[: arr.size // 2], arr[arr.size // 2 :]) for arr in out]
-
-    def reduce_max(x, lvl):
-        return comm.allreduce(x, op=max, tag=REDUCE_TAG, ranks=live)
-
-    def handoff(vws, old, new):
-        mine = vws[comm.rank]
-        reports = _handoff_reports(mine, old, new)
-        for dst in sorted(reports):
-            comm.send(reports[dst], dst, HANDOFF_TAG)
-        old = np.asarray(old)
-        gained = np.unique(
-            old[(np.asarray(new) == comm.rank) & (old != comm.rank)]
-        )
-        for src in sorted(int(s) for s in gained):
-            rep = comm.recv(src, HANDOFF_TAG)
-            mine.absorb(
-                rep["v_ids"], rep["v_wts"], rep["e_keys"], rep["e_wts"]
-            )
-
-    return _ml_refine(
-        view.n, loads.size, views, assign, loads, live, cfg, wmax,
-        [comm.rank], _comm_exchange(comm, live), gather_pairs, reduce_max,
-        handoff,
+def dkl_refine_serial(
+    graph, p, current, cfg: DKLConfig = None, live=None, return_trace=False
+):
+    """The flat engine (``dkl``): :func:`dkl_ml_refine_serial` with
+    ``ml_levels=0``, whatever ``cfg.ml_levels`` says."""
+    return dkl_ml_refine_serial(
+        graph, p, current, _flat(cfg), live, return_trace
     )
+
+
+def dkl_refine_comm(comm, view: PartView, owner, loads, wmax, live, cfg):
+    """The flat engine (``dkl``): :func:`dkl_ml_refine_comm` with
+    ``ml_levels=0``, whatever ``cfg.ml_levels`` says."""
+    return dkl_ml_refine_comm(comm, view, owner, loads, wmax, live, _flat(cfg))

@@ -44,8 +44,10 @@ Strategies
     intra-part heavy-edge matching, the same tournament runs on the coarse
     view (moving whole clusters per accepted move), and the result is
     projected and re-refined at the fine level — the standard multilevel
-    fix for the residual cut gap on heavy-imbalance starts.  One strategy
-    class serves both names; ``ml_levels`` (0 or 1) tells them apart.
+    fix for the residual cut gap on heavy-imbalance starts.  Both names
+    run one engine and one strategy class:
+    :meth:`~repro.partition.distributed.DKLConfig.for_strategy` builds
+    their config, and ``ml_levels`` (0 or 1) is all that tells them apart.
 """
 
 from __future__ import annotations
@@ -171,18 +173,14 @@ class DKLRepartitioner:
     propose/resolve/rebalance tournament of
     :mod:`repro.partition.distributed` from a single thread — bit-identical
     to the SPMD neighbor-exchange path the PARED system runs.
-    ``ml_levels`` bounds the multilevel V-cycle around the tournament
+    ``cfg.ml_levels`` bounds the multilevel V-cycle around the tournament
     (coarsen each part by intra-part heavy-edge matching, refine coarse,
     project, re-refine): ``0`` is flat ``dkl``, ``1`` is ``dkl-ml``.
     """
 
-    def __init__(self, alpha=0.1, beta=0.8, seed=0, balance_tol=0.02,
-                 ml_levels=0):
-        self.name = "dkl-ml" if ml_levels else "dkl"
-        self.cfg = DKLConfig(
-            alpha=alpha, beta=beta, seed=seed, balance_tol=balance_tol,
-            ml_levels=ml_levels,
-        )
+    def __init__(self, cfg: DKLConfig):
+        self.cfg = cfg
+        self.name = "dkl-ml" if cfg.ml_levels else "dkl"
 
     def initial(self, graph, p, coords=None):
         return multilevel_partition(graph, p, seed=self.cfg.seed)
@@ -230,8 +228,5 @@ def make_repartitioner(name: str, pnr=None, curve: str = "morton",
     if name == "mlkl":
         return MLKLRepartitioner(seed=seed, balance_tol=max(balance_tol, 0.03))
     if name in ("dkl", "dkl-ml"):
-        return DKLRepartitioner(
-            alpha=alpha, beta=beta, seed=seed, balance_tol=balance_tol,
-            ml_levels=1 if name == "dkl-ml" else 0,
-        )
+        return DKLRepartitioner(DKLConfig.for_strategy(name, pnr))
     return SFCRepartitioner(curve=curve, bits=bits)

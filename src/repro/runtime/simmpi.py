@@ -530,24 +530,30 @@ class SimComm:
         wait genuinely overlaps the peers' sends on the forked backend.
         ``wait(timeout=...)`` budgets the timeout across the receives and
         raises :class:`SimMPITimeout` like a blocking ``recv`` would;
-        ``req.sent_bytes`` is the total frame bytes posted."""
+        ``req.sent_bytes`` is the total frame bytes posted.  Completion is
+        resumable: blocks received before a timeout (e.g. by
+        :meth:`Request.test`) are kept, and the next attempt picks up at
+        the first missing source."""
         group = list(range(self.size)) if ranks is None else list(ranks)
         k = len(group)
         me = group.index(self.rank)
         nbytes = 0
         for step in range(1, k):
             nbytes += self.send((me, obj), group[(me + step) % k], tag)
+        blocks = [None] * k
+        blocks[me] = obj
+        step = 1  # next source to receive from: group[(me - step) % k]
 
         def complete(timeout):
+            nonlocal step
             remaining = timeout if timeout is not None else _DEFAULT_TIMEOUT
-            blocks = [None] * k
-            blocks[me] = obj
-            for step in range(1, k):
+            while step < k:
                 src = group[(me - step) % k]
                 tick = perf_counter()
                 pos, blk = self.recv(src, tag, timeout=max(remaining, 0.001))
                 remaining -= perf_counter() - tick
                 blocks[pos] = blk
+                step += 1
             return blocks
 
         return Request(complete, sent_bytes=nbytes)

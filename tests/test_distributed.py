@@ -307,15 +307,14 @@ class TestPartView:
         views = {r: PartView.from_graph(g, r, a0) for r in range(p)}
         # drive the shared loop exactly as dkl_refine_serial does, but
         # keep the views for inspection
-        from repro.partition.distributed import _refine_loop, _serial_exchange
+        from repro.partition.distributed import _refine_loop, _SerialExchange
 
         assign = a0.copy()
         loads = np.bincount(assign, weights=g.vwts, minlength=p).astype(float)
         _refine_loop(
             g.n_vertices, p, views, assign, a0.copy(), loads,
             list(range(p)), cfg, float(g.vwts.max()),
-            _serial_exchange(list(range(p))),
-            my_parts=list(range(p)),
+            _SerialExchange(list(range(p))),
         )
         for r in range(p):
             fresh = PartView.from_graph(g, r, assign)
@@ -541,6 +540,38 @@ class TestMultilevel:
             flat_total += graph_cut(g, dkl_refine_serial(g, p, a0, cfg))
             ml_total += graph_cut(g, dkl_ml_refine_serial(g, p, a0, cfg))
         assert ml_total <= flat_total
+
+    @pytest.mark.parametrize("transport", ["thread", "shm"])
+    def test_spmd_ml_levels_zero_is_flat(self, transport):
+        """The SPMD side of the fold: dkl_refine_comm is
+        dkl_ml_refine_comm at ml_levels=0 — same assignments, same
+        per-phase traffic, same per-pair traffic."""
+        from dataclasses import replace
+
+        p = 3
+        g = skewed_grid(8, seed=3)
+        a0 = start(g, p)
+        loads = np.bincount(a0, weights=g.vwts, minlength=p)
+        wmax = float(g.vwts.max())
+
+        def run(refine, cfg):
+            def rank_fn(comm, _):
+                comm.set_phase("dkl")
+                view = PartView.from_graph(g, comm.rank, a0)
+                return refine(comm, view, a0, loads, wmax, list(range(p)), cfg)
+
+            return spmd_run(
+                p, rank_fn, None, transport=transport, return_stats=True
+            )
+
+        cfg = DKLConfig()
+        flat, fstats = run(dkl_refine_comm, cfg)
+        ml0, mstats = run(dkl_ml_refine_comm, replace(cfg, ml_levels=0))
+        for a, b in zip(flat, ml0):
+            assert np.array_equal(a, b)
+        assert fstats.phase_report() == mstats.phase_report()
+        assert fstats.by_pair == mstats.by_pair
+        assert fstats.total_messages > 0, "scenario must exchange proposals"
 
     def test_ml_levels_zero_is_flat(self):
         """ml_levels=0 must reduce exactly to the flat engine (same

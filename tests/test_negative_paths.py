@@ -122,9 +122,7 @@ class TestDistMeshEdgeCases:
             am = AdaptiveMesh.unit_square(3)
             owner = np.arange(am.n_roots, dtype=np.int64) % comm.size
             dm = DistributedMesh(comm, am, owner)
-            stats = execute_migration(
-                comm, dm, owner.copy() if comm.rank == 0 else None
-            )
+            stats = execute_migration(comm, dm, owner.copy())
             return stats["trees_moved"], stats["elements_moved"]
 
         assert spmd_run(3, prog) == [(0, 0)] * 3

@@ -130,16 +130,15 @@ class TestFrameCoalescing:
             owner[: am.n_roots // 2] = 1
             dmesh = DistributedMesh(comm, am, owner)
             new_owner = owner.copy()
-            if comm.rank == 0:
-                for root, dst in move_plan:
-                    new_owner[root] = dst
+            for root, dst in move_plan:
+                new_owner[root] = dst
             comm.set_phase("P3")
-            return execute_migration(comm, dmesh, new_owner, coordinator=0)
+            return execute_migration(comm, dmesh, new_owner)
 
         return prog
 
     def test_one_frame_per_src_dst_pair(self):
-        # idle baseline: the owner bcast is the only P3 traffic
+        # idle baseline: every rank holds the map, so nothing travels
         _, idle = spmd_run(3, self._migration_prog([]), return_stats=True)
         # 6 moved roots but only 2 communicating pairs: 0→1 (roots of rank
         # 0's half) and 1→2 (roots of rank 1's half)

@@ -136,7 +136,7 @@ class TestMigration:
             dm = DistributedMesh(comm, am, owner)
             new_owner = owner.copy()
             new_owner[:5] = 1
-            stats = execute_migration(comm, dm, new_owner if comm.rank == 0 else None)
+            stats = execute_migration(comm, dm, new_owner)
             assert np.array_equal(dm.owner, new_owner)
             return stats
 
@@ -157,7 +157,7 @@ class TestMigration:
             g = coarse_dual_graph(am.mesh)
             rng = np.random.default_rng(0)
             new_owner = rng.integers(0, comm.size, am.n_roots)
-            stats = execute_migration(comm, dm, new_owner if comm.rank == 0 else None)
+            stats = execute_migration(comm, dm, new_owner)
             expected = g.vwts[np.asarray(owner) != new_owner].sum()
             assert stats["elements_moved"] == expected
             return True

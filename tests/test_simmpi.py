@@ -399,6 +399,22 @@ class TestPairwiseCollectives:
         assert name == "SimMPITimeout"
         assert is_timeout
 
+    def test_iallgather_test_then_wait_keeps_received_blocks(self, backend):
+        """A ``test()`` that times out part-way keeps the blocks it already
+        received: the following ``wait()`` resumes at the first missing
+        source instead of waiting again for a consumed message."""
+
+        def prog(comm):
+            if comm.rank == 1:
+                time.sleep(0.5)  # late poster: rank 0's test() gives up
+            req = comm.iallgather(comm.rank * 10, tag=68)
+            if comm.rank == 0:
+                done, _ = req.test()  # gets rank 2's block, not rank 1's
+                assert not done
+            return req.wait(timeout=3)
+
+        assert run(backend, 3, prog) == [[0, 10, 20]] * 3
+
     def test_ledger_exactly_once_under_faults(self):
         """Reordering and duplicate delivery must not change the sender-
         side ledger: one record of the frame length per logical message,
